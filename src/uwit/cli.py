@@ -18,6 +18,7 @@ from .errors import (
     InvalidParameterError,
     InvalidWeightError,
     NotPositiveError,
+    RejectionOverflowError,
     StateFormatError,
     StateInvariantError,
     UwitError,
@@ -37,6 +38,7 @@ from .states import (
     werner_state,
 )
 from .criteria import (
+    _detects,
     bell_tsallis_criterion,
     bell_variance_criterion,
     linear_witness_value,
@@ -150,7 +152,7 @@ def _evaluate_verdicts(rho, criteria: list[str], q_values: list[float]) -> list[
     for name in criteria:
         if name == "linear_witness":
             value = linear_witness_value(rho)
-            verdicts.append(CriterionVerdict(value, 0.0, value < 0.0, "linear_witness"))
+            verdicts.append(CriterionVerdict(value, 0.0, _detects(value, 0.0), "linear_witness"))
         elif name == "nonlinear_witness":
             verdicts.append(nonlinear_witness_value(rho))
         elif name == "pauli_lur":
@@ -229,6 +231,8 @@ def _cmd_sweep(args) -> int:
         rows = run_detection_sweep(config, p_grid, workers=workers)
     except (InvalidParameterError, InvalidWeightError, ValueError) as exc:
         return _fail(EXIT_BAD_INPUT, str(exc))
+    except RejectionOverflowError as exc:
+        return _fail(EXIT_BAD_INPUT, f"noise sampler gave up at d={args.d:g}: {exc}")
     try:
         if args.format == "csv":
             write_detection_csv(rows, args.out)

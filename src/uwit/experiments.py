@@ -1,7 +1,9 @@
 """The two reproduction studies: a Monte-Carlo sweep counting which noisy
 singlets each criterion detects versus the exact partial-transpose test, and
 a grid classification of Bell-diagonal coordinate space. Both are
-deterministic for a fixed seed, independent of worker count."""
+deterministic for a fixed seed, independent of worker count. The sweep uses
+common random numbers: sample i draws one noise matrix, keyed by (seed, i),
+and reuses it at every singlet weight of the grid."""
 
 from __future__ import annotations
 
@@ -105,17 +107,23 @@ class WernerThresholds:
     npt: float
 
 
-def _block_flags(seed: int, d: float, p: float, p_index: int, start: int, stop: int):
-    """Detection flags (witness, nonlinear, npt) for sample indices [start, stop).
-
-    Each sample draws its noise from an independent stream keyed by
-    (seed, p_index, sample_index), so any partition of the index space
-    yields identical results.
-    """
-    n = stop - start
-    sigma = np.empty((n, 4, 4), dtype=complex)
+def _draw_block(seed: int, d: float, start: int, stop: int) -> np.ndarray:
+    """Noise matrices sigma_i for sample indices [start, stop), each drawn from
+    its own stream keyed by (seed, i)."""
+    sigma = np.empty((stop - start, 4, 4), dtype=complex)
     for j, i in enumerate(range(start, stop)):
-        sigma[j] = _draw_noise_matrix(d, noise_rng(seed, p_index, i))
+        sigma[j] = _draw_noise_matrix(d, noise_rng(seed, i))
+    return sigma
+
+
+def _block_flags(sigma: np.ndarray, p: float):
+    """Detection flags (witness, nonlinear, npt) of the noisy singlets
+    p |psi-><psi-| + (1 - p) sigma_i for a stack of noise matrices sigma_i.
+
+    The sweep draws a block's sigma once and calls this once per grid point,
+    so every p sees the same noise (common random numbers).
+    """
+    n = len(sigma)
     rho = p * _SINGLET[None, :, :] + (1.0 - p) * sigma
 
     linear = np.einsum("nij,ji->n", rho, _LINEAR_WITNESS).real
@@ -134,24 +142,34 @@ def _block_flags(seed: int, d: float, p: float, p_index: int, start: int, stop: 
     )
 
 
-def _block_counts(task):
-    seed, d, p, p_index, start, stop = task
-    witness, lur, npt = _block_flags(seed, d, p, p_index, start, stop)
-    return (
-        p_index,
-        int(witness.sum()),
-        int(lur.sum()),
-        int(npt.sum()),
-        int((witness & ~lur).sum()),
-        int((lur & ~npt).sum()),
-        int((~npt & (witness | lur)).sum()),
-    )
+def _block_counts(task) -> np.ndarray:
+    """Counts per grid point for one sample block, one row per p: detected by
+    the witness, lur and npt, then witness-not-lur, lur-not-npt and
+    PPT-but-detected."""
+    seed, d, p_grid, start, stop = task
+    sigma = _draw_block(seed, d, start, stop)
+    counts = np.empty((len(p_grid), 6), dtype=np.int64)
+    for k, p in enumerate(p_grid):
+        witness, lur, npt = _block_flags(sigma, p)
+        counts[k] = (
+            witness.sum(),
+            lur.sum(),
+            npt.sum(),
+            (witness & ~lur).sum(),
+            (lur & ~npt).sum(),
+            (~npt & (witness | lur)).sum(),
+        )
+    return counts
 
 
 def evaluate_detection_flags(config: NoiseBallConfig, p: float, p_index: int):
-    """Per-sample detection flags (witness, lur, npt) for one grid point,
-    exactly as counted by run_detection_sweep."""
-    return _block_flags(config.seed, config.d, p, p_index, 0, config.samples)
+    """Per-sample detection flags (witness, lur, npt) at singlet weight ``p``,
+    exactly as counted by run_detection_sweep.
+
+    ``p_index`` does not select the noise: sample i uses the same sigma_i,
+    keyed by (seed, i), at every grid point.
+    """
+    return _block_flags(_draw_block(config.seed, config.d, 0, config.samples), p)
 
 
 def default_p_grid() -> list[float]:
@@ -164,10 +182,13 @@ def run_detection_sweep(
 ) -> list[DetectionRow]:
     """Detected fractions per criterion over a grid of singlet weights.
 
-    For each p, ``config.samples`` noisy singlets rho(p, d) are drawn and
-    tested with the linear witness, the nonlinear witness and the partial
-    transpose. Per-sample randomness is keyed by (seed, grid index, sample
-    index): fixed config means bit-identical rows for any ``workers``.
+    ``config.samples`` noise matrices sigma_i are drawn once, each from its
+    own stream keyed by (seed, i), and the noisy singlets
+    p |psi-><psi-| + (1 - p) sigma_i are tested at every p of the grid with
+    the linear witness, the nonlinear witness and the partial transpose.
+    One pool task is one block of sample indices over the whole grid. Since
+    the key depends on neither the block nor the grid, fixed config means
+    bit-identical rows for any ``workers`` and any block size.
 
     The detection inclusion chain (witness => lur => npt) and the soundness
     of both criteria on PPT samples are asserted sample by sample; a
@@ -181,11 +202,10 @@ def run_detection_sweep(
         if not 0.0 <= p <= 1.0:
             raise InvalidWeightError(f"grid value p={p} outside [0, 1]")
 
-    tasks = []
-    for p_index, p in enumerate(p_grid):
-        for start in range(0, config.samples, _BLOCK):
-            stop = min(start + _BLOCK, config.samples)
-            tasks.append((config.seed, config.d, p, p_index, start, stop))
+    tasks = [
+        (config.seed, config.d, tuple(p_grid), start, min(start + _BLOCK, config.samples))
+        for start in range(0, config.samples, _BLOCK)
+    ]
 
     if workers <= 1:
         results = map(_block_counts, tasks)
@@ -193,15 +213,9 @@ def run_detection_sweep(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_block_counts, tasks))
 
-    counts = {i: [0, 0, 0] for i in range(len(p_grid))}
-    chain_violations = 0
-    ppt_detected = 0
-    for p_index, n_witness, n_lur, n_npt, v_wl, v_ln, v_ppt in results:
-        counts[p_index][0] += n_witness
-        counts[p_index][1] += n_lur
-        counts[p_index][2] += n_npt
-        chain_violations += v_wl + v_ln
-        ppt_detected += v_ppt
+    counts = sum(results, np.zeros((len(p_grid), 6), dtype=np.int64))
+    chain_violations = int(counts[:, 3:5].sum())
+    ppt_detected = int(counts[:, 5].sum())
     if chain_violations or ppt_detected:
         raise RuntimeError(
             f"numerical defect: {chain_violations} inclusion-chain violations, "
@@ -209,8 +223,7 @@ def run_detection_sweep(
         )
 
     rows = []
-    for p_index, p in enumerate(p_grid):
-        n_witness, n_lur, n_npt = counts[p_index]
+    for p, (n_witness, n_lur, n_npt) in zip(p_grid, counts[:, :3].tolist()):
         rows.append(
             DetectionRow(
                 p=p,

@@ -5,8 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+from uwit import experiments
 from uwit.cli import main
-from uwit.states import maximally_mixed, save_state
+from uwit.errors import RejectionOverflowError
+from uwit.states import DensityMatrix, maximally_mixed, save_state
 
 
 def run_cli(*argv):
@@ -81,6 +83,19 @@ class TestEvaluate:
         run_cli("gen-state", "bell", "4", "--out", state)
         assert run_cli("evaluate", state, "--out", tmp_path / "no" / "dir" / "r.json") == 4
 
+    def test_orthogonal_product_states_not_detected(self, tmp_path, capsys):
+        # |a>|a_perp> is separable with linear-witness value 0 up to roundoff
+        rng = np.random.default_rng(2026)
+        state = tmp_path / "product.json"
+        for _ in range(200):
+            alpha, beta = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            a = np.array([alpha, beta]) / np.hypot(abs(alpha), abs(beta))
+            psi = np.kron(a, [-a[1].conjugate(), a[0].conjugate()])
+            save_state(DensityMatrix(np.outer(psi, psi.conj()), (2, 2)), state)
+            assert run_cli("evaluate", state, "--criteria", "linear_witness") == 0
+            (verdict,) = json.loads(capsys.readouterr().out)["criteria"]
+            assert verdict["detected"] is False
+
 
 class TestSweep:
     def test_determinism_across_runs_and_workers(self, tmp_path, capsys):
@@ -121,6 +136,17 @@ class TestSweep:
     def test_unwritable_output_exits_4(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "out.csv"
         assert run_cli("sweep", "--samples", "5", "--p-grid", "0.5", "--out", missing) == 4
+
+    def test_sampler_overflow_exits_2(self, tmp_path, monkeypatch, capsys):
+        def give_up(d, rng):
+            raise RejectionOverflowError(f"no positive-semidefinite draw (d={d} too large)")
+
+        monkeypatch.setattr(experiments, "_draw_noise_matrix", give_up)
+        out = tmp_path / "g.csv"
+        assert run_cli("sweep", "--d", "0.45", "--samples", "5", "--workers", "1", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "d=0.45" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestGeometry:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from uwit import experiments
 from uwit.criteria import linear_witness_value, nonlinear_witness_value
 from uwit.errors import InvalidParameterError, InvalidWeightError
 from uwit.experiments import (
@@ -66,11 +67,39 @@ class TestDetectionSweep:
         p, p_index = 0.3, 2
         witness, lur, npt = evaluate_detection_flags(SMALL, p, p_index)
         for i in range(0, SMALL.samples, 17):
-            sigma = sample_noise_ball(SMALL.d, noise_rng(SMALL.seed, p_index, i))
+            sigma = sample_noise_ball(SMALL.d, noise_rng(SMALL.seed, i))
             rho = noisy_singlet(p, sigma)
             assert (linear_witness_value(rho) < -1e-12) == witness[i]
             assert nonlinear_witness_value(rho).detected == lur[i]
             assert is_npt(rho)[0] == npt[i]
+
+    def test_noise_drawn_once_per_sample(self, monkeypatch):
+        calls = []
+        draw = experiments._draw_noise_matrix
+
+        def counting_draw(d, rng):
+            calls.append(d)
+            return draw(d, rng)
+
+        monkeypatch.setattr(experiments, "_draw_noise_matrix", counting_draw)
+        run_detection_sweep(SMALL, [0.0, 0.25, 0.5, 0.75, 1.0], workers=1)
+        assert len(calls) == SMALL.samples
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_block_size_does_not_change_rows(self, monkeypatch, workers):
+        grid = [0.25, 0.35, 0.45]
+        expected = run_detection_sweep(SMALL, grid)
+        monkeypatch.setattr(experiments, "_BLOCK", 7)
+        assert run_detection_sweep(SMALL, grid, workers=workers) == expected
+
+    @pytest.mark.parametrize("d", [0.2, 0.2886])
+    def test_per_sample_flags_monotone_in_p(self, d):
+        # inside the separable ball each flag is a threshold in p
+        config = NoiseBallConfig(d=d, seed=42, samples=200)
+        flags = np.array(
+            [evaluate_detection_flags(config, p, k) for k, p in enumerate(default_p_grid())]
+        )
+        assert not np.any(flags[:-1] & ~flags[1:])
 
     def test_rerun_is_identical(self):
         rows_a = run_detection_sweep(SMALL, [0.2, 0.6])
