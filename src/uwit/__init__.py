@@ -15,6 +15,7 @@ from .errors import (
     InvalidWeightError,
     NotHermitianError,
     NotPositiveError,
+    NumericalDefectError,
     RejectionOverflowError,
     StateFormatError,
     StateInvariantError,

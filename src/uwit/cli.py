@@ -4,7 +4,8 @@ generate state files.
 
 Exit codes: 0 success (detection results are data, never an error),
 2 malformed input or bad parameters, 3 a state file violating the
-density-matrix invariants, 4 an unwritable output path."""
+density-matrix invariants, 4 an unwritable output path, 5 a numerical
+defect (a sweep or Werner result breaking an exact-arithmetic invariant)."""
 
 from __future__ import annotations
 
@@ -16,8 +17,7 @@ import sys
 from . import __version__
 from .errors import (
     InvalidParameterError,
-    InvalidWeightError,
-    NotPositiveError,
+    NumericalDefectError,
     RejectionOverflowError,
     StateFormatError,
     StateInvariantError,
@@ -61,6 +61,7 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_INVALID_STATE = 3
 EXIT_UNWRITABLE = 4
+EXIT_NUMERICAL_DEFECT = 5
 
 CRITERION_CHOICES = (
     "linear_witness",
@@ -229,10 +230,12 @@ def _cmd_sweep(args) -> int:
         config = NoiseBallConfig(p=0.0, d=args.d, seed=seed, samples=args.samples)
         p_grid = _parse_p_grid(args.p_grid) if args.p_grid else default_p_grid()
         rows = run_detection_sweep(config, p_grid, workers=workers)
-    except (InvalidParameterError, InvalidWeightError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(EXIT_BAD_INPUT, str(exc))
     except RejectionOverflowError as exc:
         return _fail(EXIT_BAD_INPUT, f"noise sampler gave up at d={args.d:g}: {exc}")
+    except NumericalDefectError as exc:
+        return _fail(EXIT_NUMERICAL_DEFECT, str(exc))
     try:
         if args.format == "csv":
             write_detection_csv(rows, args.out)
@@ -278,7 +281,10 @@ def _cmd_geometry(args) -> int:
 
 
 def _cmd_werner(args) -> int:
-    thresholds = werner_thresholds()
+    try:
+        thresholds = werner_thresholds()
+    except NumericalDefectError as exc:
+        return _fail(EXIT_NUMERICAL_DEFECT, str(exc))
     print(
         f"werner thresholds: witness={thresholds.witness:.9g} "
         f"lur={thresholds.lur:.9g} npt={thresholds.npt:.9g}"
@@ -325,7 +331,7 @@ def _cmd_gen_state(args) -> int:
             if k != params[0]:
                 raise InvalidParameterError(f"k must be an integer, got {params[0]}")
             rho = random_separable_state(k, noise_rng(seed))
-    except (NotPositiveError, InvalidParameterError, InvalidWeightError, UwitError) as exc:
+    except UwitError as exc:
         return _fail(EXIT_BAD_INPUT, str(exc))
     try:
         save_state(rho, args.out)

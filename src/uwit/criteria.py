@@ -31,7 +31,7 @@ from .linalg import (
     hermitian_eigen,
     kron,
 )
-from .states import DensityMatrix, bell_states
+from .states import _BELL_AMPLITUDES, DensityMatrix
 
 DEGENERACY_TOL = 1e-8
 PROBABILITY_TOL = -1e-12
@@ -145,11 +145,23 @@ def _linear_witness_matrix() -> np.ndarray:
     )
 
 
+def _linear_witness_values(rho: np.ndarray) -> np.ndarray:
+    """Tr(rho W), W = I + XX + YY + ZZ, over an (n, 4, 4) stack of states."""
+    return np.einsum("nij,ji->n", rho, _linear_witness_matrix()).real
+
+
+def _nonlinear_witness_values(rho: np.ndarray, linear) -> np.ndarray:
+    """The linear values minus half the summed squared collective-Pauli
+    means, over an (n, 4, 4) stack of states."""
+    means_sq = sum(np.einsum("nij,ji->n", rho, m.matrix).real ** 2 for m in collective_paulis())
+    return linear - 0.5 * means_sq
+
+
 def linear_witness_value(rho: DensityMatrix) -> float:
     """Expectation of I + XX + YY + ZZ; negative values certify entanglement."""
     if rho.dims != (2, 2):
         raise DimensionMismatchError(f"witness requires a 2x2-qubit state, got {rho.dims}")
-    return expectation(rho.matrix, _linear_witness_matrix())
+    return float(_linear_witness_values(rho.matrix[None])[0])
 
 
 def nonlinear_witness_value(rho: DensityMatrix) -> CriterionVerdict:
@@ -157,10 +169,7 @@ def nonlinear_witness_value(rho: DensityMatrix) -> CriterionVerdict:
     collective Paulis are subtracted, so the value never exceeds the linear
     one. Equals (summed collective-Pauli variances - 4)/2."""
     linear = linear_witness_value(rho)
-    means_sq = sum(
-        expectation(rho.matrix, m.matrix) ** 2 for m in collective_paulis()
-    )
-    value = linear - 0.5 * means_sq
+    value = float(_nonlinear_witness_values(rho.matrix[None], linear)[0])
     return CriterionVerdict(value, 0.0, _detects(value, 0.0), "nonlinear_witness")
 
 
@@ -264,30 +273,35 @@ def bell_populations(rho: DensityMatrix) -> np.ndarray:
     """The four Bell-state populations <BS_i|rho|BS_i> of a two-qubit state."""
     if rho.dims != (2, 2):
         raise DimensionMismatchError(f"Bell populations require a 2x2-qubit state, got {rho.dims}")
-    probs = np.array(
-        [float(np.vdot(b.amplitudes, rho.matrix @ b.amplitudes).real) for b in bell_states()]
-    )
+    probs = np.array([float(np.vdot(a, rho.matrix @ a).real) for a in _BELL_AMPLITUDES])
     return _clean_distribution(probs)
+
+
+def _bell_tsallis_detects(populations: np.ndarray, q: float):
+    """Whether the Tsallis entropy (Shannon at q = 1) of nonnegative Bell
+    populations (..., 4) falls below the Schmidt bound for c = 1/2. For
+    q != 1 it compares sum p^q with 2^(1-q), avoiding the 1 - sum(p^q)
+    cancellation at large q; the guard is relative because legitimate
+    detections reach absolute scales of 2^(1-q)."""
+    if q == 1.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(populations > 0.0, populations * np.log(populations), 0.0)
+        return _detects(-terms.sum(axis=-1), schmidt_entropy_bound(BELL_SCHMIDT_SQ, 1.0))
+    power_sum = np.sum(populations**q, axis=-1)
+    reference = 2.0 ** (1.0 - q)
+    if q > 1.0:
+        return power_sum > reference * (1.0 + DETECTION_TOL)
+    return power_sum < reference * (1.0 - DETECTION_TOL)
 
 
 def bell_variance_criterion(rho: DensityMatrix) -> CriterionVerdict:
     """Summed variances of the four Bell projectors, 1 - sum_i p_i^2, which
     separable states keep at or above 1/2. On Bell-diagonal states detection
-    is exactly x^2 + y^2 + z^2 > 1; the comparison is shared with the q = 2
-    Tsallis test so the two verdicts can never split."""
+    is exactly x^2 + y^2 + z^2 > 1; the decision is the q = 2 Tsallis test,
+    so the two verdicts can never split."""
     populations = bell_populations(rho)
-    power_sum = float(np.sum(populations**2))
-    detected = bool(_power_sum_detects(power_sum, 0.5, 2.0))
-    return CriterionVerdict(1.0 - power_sum, 0.5, detected, "bell_variance")
-
-
-def _power_sum_detects(power_sum, reference: float, q: float):
-    # S_q < bound rearranged to avoid the 1 - sum(p^q) cancellation that
-    # swallows the comparison for large q. The boundary guard is relative
-    # because legitimate detections reach absolute scales of 2^(1-q).
-    if q > 1.0:
-        return power_sum > reference * (1.0 + DETECTION_TOL)
-    return power_sum < reference * (1.0 - DETECTION_TOL)
+    detected = bool(_bell_tsallis_detects(populations, 2.0))
+    return CriterionVerdict(1.0 - float(np.sum(populations**2)), 0.5, detected, "bell_variance")
 
 
 def bell_tsallis_criterion(rho: DensityMatrix, q: float) -> CriterionVerdict:
@@ -299,10 +313,5 @@ def bell_tsallis_criterion(rho: DensityMatrix, q: float) -> CriterionVerdict:
     populations = bell_populations(rho)
     value = tsallis_entropy(populations, q)
     threshold = schmidt_entropy_bound(BELL_SCHMIDT_SQ, q)
-    if q == 1.0:
-        detected = _detects(value, threshold)
-    else:
-        detected = _power_sum_detects(
-            float(np.sum(populations**q)), 2.0 ** (1.0 - q), q
-        )
+    detected = bool(_bell_tsallis_detects(populations, q))
     return CriterionVerdict(value, threshold, detected, f"bell_tsallis_q{q:g}")

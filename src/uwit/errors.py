@@ -37,6 +37,10 @@ class RejectionOverflowError(UwitError, RuntimeError):
     """The noise-ball sampler exhausted its rejection budget (radius too large)."""
 
 
+class NumericalDefectError(UwitError, RuntimeError):
+    """A result broke an invariant of exact arithmetic (inclusion chain, bracket)."""
+
+
 class StateFormatError(UwitError, ValueError):
     """A serialized state file is malformed (bad JSON, keys, or shapes)."""
 

@@ -13,36 +13,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidWeightError
-from .linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, kron
+from .errors import InvalidParameterError, InvalidWeightError, NumericalDefectError
 from .states import (
     NPT_THRESHOLD,
-    POPULATION_TOL,
     BellDiagonalCoords,
     NoiseBallConfig,
     _draw_noise_matrix,
-    is_npt,
+    _octahedron_mask,
+    _tetrahedron_mask,
+    bell_populations_from_coords,
     noise_rng,
     singlet_projector,
-    werner_state,
 )
 from .criteria import (
-    DETECTION_TOL,
-    _power_sum_detects,
-    linear_witness_value,
-    nonlinear_witness_value,
-    schmidt_entropy_bound,
+    _bell_tsallis_detects,
+    _detects,
+    _linear_witness_values,
+    _nonlinear_witness_values,
 )
 
 _BLOCK = 256
-
-_LINEAR_WITNESS = (
-    np.eye(4, dtype=complex)
-    + kron(SIGMA_X, SIGMA_X)
-    + kron(SIGMA_Y, SIGMA_Y)
-    + kron(SIGMA_Z, SIGMA_Z)
-)
-_COLLECTIVE = tuple(kron(s, ID2) + kron(ID2, s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
 _SINGLET = singlet_projector()
 
 
@@ -120,26 +110,17 @@ def _block_flags(sigma: np.ndarray, p: float):
     """Detection flags (witness, nonlinear, npt) of the noisy singlets
     p |psi-><psi-| + (1 - p) sigma_i for a stack of noise matrices sigma_i.
 
-    The sweep draws a block's sigma once and calls this once per grid point,
-    so every p sees the same noise (common random numbers).
+    The witnesses use the batch kernels of the scalar criteria. The sweep
+    calls this once per grid point on a block's sigma, so every p sees the
+    same noise (common random numbers); werner_thresholds uses sigma = I/4.
     """
     n = len(sigma)
     rho = p * _SINGLET[None, :, :] + (1.0 - p) * sigma
-
-    linear = np.einsum("nij,ji->n", rho, _LINEAR_WITNESS).real
-    means_sq = np.zeros(n)
-    for m in _COLLECTIVE:
-        means_sq += np.einsum("nij,ji->n", rho, m).real ** 2
-    nonlinear = linear - 0.5 * means_sq
-
+    linear = _linear_witness_values(rho)
+    nonlinear = _nonlinear_witness_values(rho, linear)
     pt = rho.reshape(n, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(n, 4, 4)
     min_pt_eig = np.linalg.eigvalsh(pt)[:, 0]
-
-    return (
-        linear < -DETECTION_TOL,
-        nonlinear < -DETECTION_TOL,
-        min_pt_eig < NPT_THRESHOLD,
-    )
+    return _detects(linear, 0.0), _detects(nonlinear, 0.0), min_pt_eig < NPT_THRESHOLD
 
 
 def _block_counts(task) -> np.ndarray:
@@ -192,8 +173,8 @@ def run_detection_sweep(
 
     The detection inclusion chain (witness => lur => npt) and the soundness
     of both criteria on PPT samples are asserted sample by sample; a
-    violation raises RuntimeError since it can only come from a numerical
-    defect.
+    violation raises NumericalDefectError since it can only come from a
+    numerical defect.
     """
     if p_grid is None:
         p_grid = default_p_grid()
@@ -217,7 +198,7 @@ def run_detection_sweep(
     chain_violations = int(counts[:, 3:5].sum())
     ppt_detected = int(counts[:, 5].sum())
     if chain_violations or ppt_detected:
-        raise RuntimeError(
+        raise NumericalDefectError(
             f"numerical defect: {chain_violations} inclusion-chain violations, "
             f"{ppt_detected} PPT samples detected"
         )
@@ -257,33 +238,13 @@ def run_geometry_scan(resolution: int = 101, q_values=(2.0, 4.0, 15.0)) -> Geome
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
     x, y, z = gx.ravel(), gy.ravel(), gz.ravel()
 
-    populations = np.stack(
-        [
-            (1.0 + x - y + z) / 4.0,
-            (1.0 - x + y + z) / 4.0,
-            (1.0 + x + y - z) / 4.0,
-            (1.0 - x - y - z) / 4.0,
-        ],
-        axis=1,
-    )
-    is_state = populations.min(axis=1) >= POPULATION_TOL
-    in_octahedron = is_state & (populations.max(axis=1) <= 0.5 - POPULATION_TOL)
+    populations = bell_populations_from_coords(np.stack([x, y, z], axis=1))
+    is_state = _tetrahedron_mask(populations)
+    in_octahedron = _octahedron_mask(populations)
+    # the decisions of bell_variance_criterion / bell_tsallis_criterion
     clamped = np.clip(populations, 0.0, None)
-
-    # identical comparisons to bell_variance_criterion / bell_tsallis_criterion
-    sphere_detected = is_state & _power_sum_detects(np.sum(clamped**2, axis=1), 0.5, 2.0)
-
-    tsallis_detected = {}
-    for q in q_values:
-        if q == 1.0:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                terms = np.where(clamped > 0.0, clamped * np.log(clamped), 0.0)
-            entropy = -terms.sum(axis=1)
-            detected = entropy < schmidt_entropy_bound(0.5, 1.0) - DETECTION_TOL
-        else:
-            power_sum = np.sum(clamped**q, axis=1)
-            detected = _power_sum_detects(power_sum, 2.0 ** (1.0 - q), q)
-        tsallis_detected[q] = is_state & detected
+    sphere_detected = is_state & _bell_tsallis_detects(clamped, 2.0)
+    tsallis_detected = {q: is_state & _bell_tsallis_detects(clamped, q) for q in q_values}
 
     return GeometryScan(
         resolution=resolution,
@@ -301,7 +262,7 @@ def run_geometry_scan(resolution: int = 101, q_values=(2.0, 4.0, 15.0)) -> Geome
 def _bisect_threshold(detects, tol: float = 1e-8) -> float:
     lo, hi = 0.0, 1.0
     if detects(lo) or not detects(hi):
-        raise RuntimeError("detection is not bracketed on [0, 1]")
+        raise NumericalDefectError("detection is not bracketed on [0, 1]")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if detects(mid):
@@ -312,15 +273,12 @@ def _bisect_threshold(detects, tol: float = 1e-8) -> float:
 
 
 def werner_thresholds() -> WernerThresholds:
-    """Smallest singlet weight detected on the white-noise (d = 0) line by the
-    linear witness, the nonlinear witness and the partial-transpose test,
+    """Smallest singlet weight detected on the white-noise line, per
+    criterion: the sweep's flags at d = 0 (_block_flags on sigma = I/4),
     each located by bisection to 1e-8."""
+    white = np.eye(4, dtype=complex)[None] / 4.0
     return WernerThresholds(
-        witness=_bisect_threshold(
-            lambda p: linear_witness_value(werner_state(p)) < -DETECTION_TOL
-        ),
-        lur=_bisect_threshold(lambda p: nonlinear_witness_value(werner_state(p)).detected),
-        npt=_bisect_threshold(lambda p: is_npt(werner_state(p))[0]),
+        *(_bisect_threshold(lambda p, k=k: bool(_block_flags(white, p)[k][0])) for k in range(3))
     )
 
 

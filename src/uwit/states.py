@@ -245,16 +245,31 @@ def is_npt(rho: DensityMatrix) -> tuple[bool, float]:
 
 
 def bell_populations_from_coords(c) -> np.ndarray:
-    """Bell-state populations of the Bell-diagonal state with coordinates ``c``."""
-    x, y, z = (float(v) for v in c)
-    return np.array(
+    """Bell-state populations of the Bell-diagonal state with coordinates
+    ``c``: shape (4,) for one (x, y, z) triple, (..., 4) for a (..., 3) stack."""
+    c = np.asarray(c, dtype=float)
+    if c.shape[-1:] != (3,):
+        raise DimensionMismatchError(f"coordinates need a last axis of length 3, got {c.shape}")
+    x, y, z = c[..., 0], c[..., 1], c[..., 2]
+    return np.stack(
         [
             (1.0 + x - y + z) / 4.0,
             (1.0 - x + y + z) / 4.0,
             (1.0 + x + y - z) / 4.0,
             (1.0 - x - y - z) / 4.0,
-        ]
+        ],
+        axis=-1,
     )
+
+
+def _tetrahedron_mask(populations: np.ndarray):
+    """Whether Bell populations (..., 4) are all nonnegative, i.e. a state."""
+    return populations.min(axis=-1) >= POPULATION_TOL
+
+
+def _octahedron_mask(populations: np.ndarray):
+    """Whether Bell populations (..., 4) are a state's and all at most 1/2."""
+    return _tetrahedron_mask(populations) & (populations.max(axis=-1) <= 0.5 - POPULATION_TOL)
 
 
 def bell_diagonal_state(c) -> DensityMatrix:
@@ -264,7 +279,7 @@ def bell_diagonal_state(c) -> DensityMatrix:
     coordinates lie outside the state tetrahedron.
     """
     populations = bell_populations_from_coords(c)
-    if populations.min() < POPULATION_TOL:
+    if not _tetrahedron_mask(populations):
         raise NotPositiveError(
             f"coordinates {tuple(c)} lie outside the state set "
             f"(minimum Bell population {populations.min():g})"
@@ -292,17 +307,13 @@ def coords_of(rho: DensityMatrix) -> BellDiagonalCoords:
 
 def in_state_tetrahedron(c) -> bool:
     """True when the coordinates describe a valid (PSD) Bell-diagonal state."""
-    return bool(bell_populations_from_coords(c).min() >= POPULATION_TOL)
+    return bool(_tetrahedron_mask(bell_populations_from_coords(c)))
 
 
 def in_witness_octahedron(c) -> bool:
     """True when the coordinates pass every Bell-projector witness, i.e. the
     state region where all four populations stay at or below one half."""
-    populations = bell_populations_from_coords(c)
-    return bool(
-        populations.min() >= POPULATION_TOL
-        and (0.5 - populations).min() >= POPULATION_TOL
-    )
+    return bool(_octahedron_mask(bell_populations_from_coords(c)))
 
 
 def random_pure_state(dims: tuple[int, int], rng: np.random.Generator) -> PureState:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -148,6 +149,21 @@ class TestSweep:
         assert "d=0.45" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_numerical_defect_exits_5(self, tmp_path, monkeypatch, capsys):
+        # a witness firing without the nonlinear witness breaks the inclusion chain
+        def broken_flags(sigma, p):
+            n = len(sigma)
+            return np.ones(n, dtype=bool), np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+
+        monkeypatch.setattr(experiments, "_block_flags", broken_flags)
+        out = tmp_path / "h.csv"
+        assert run_cli("sweep", "--samples", "5", "--p-grid", "0.5", "--workers", "1", "--out", out) == 5
+        # the same flags fire at p = 0, so the Werner bisection is not bracketed
+        assert run_cli("werner") == 5
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 2 and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestGeometry:
     def test_row_count(self, tmp_path, capsys):
@@ -172,6 +188,30 @@ class TestWerner:
         payload = json.loads(out.read_text())
         for key in ("witness", "lur", "npt"):
             assert abs(payload[key] - 1 / 3) <= 1e-6
+
+
+class TestPinnedOutputs:
+    """sha256 of outputs whose bytes must not move when the criterion
+    kernels are reorganized; a deliberate change of output updates them."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("werner",), "ea06ab047a8b7c13896c16bfe63c9c28ff7b7ce4263846ba9b893e87c1c0e621"),
+            (
+                ("sweep", "--d", "0.2", "--samples", "200", "--seed", "7", "--workers", "1"),
+                "d939f2fea3397b1c37512a9f76d5fbadf735e0fd1c10e6c52fddc9b584291a29",
+            ),
+            (
+                ("geometry", "--resolution", "9", "--q", "1"),
+                "3e01e9fc808c1499f40b2a9d1168d09aa4a929fb2c758fff237e0a4bd2fd3c2d",
+            ),
+        ],
+    )
+    def test_output_digest(self, tmp_path, capsys, argv, digest):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", out) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestGenState:

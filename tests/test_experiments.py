@@ -216,7 +216,7 @@ class TestGeometryScan:
             in_witness_octahedron,
         )
 
-        scan = run_geometry_scan(resolution=7, q_values=[2.0, 15.0])
+        scan = run_geometry_scan(resolution=7, q_values=[1.0, 2.0, 15.0])
         for cell in scan.cells():
             assert cell.is_state == in_state_tetrahedron(cell.coords)
             assert cell.in_octahedron == in_witness_octahedron(cell.coords)
@@ -224,5 +224,5 @@ class TestGeometryScan:
                 continue
             rho = bell_diagonal_state(cell.coords)
             assert cell.sphere_detected == bell_variance_criterion(rho).detected
-            for q in (2.0, 15.0):
+            for q in (1.0, 2.0, 15.0):
                 assert cell.tsallis_detected[q] == bell_tsallis_criterion(rho, q).detected

@@ -272,6 +272,18 @@ class TestBellDiagonalGeometry:
             ]
             assert np.allclose(direct, bell_populations_from_coords(c), atol=1e-12)
 
+    def test_populations_of_a_stack_equal_each_triple(self):
+        coords = np.random.default_rng(13).uniform(-1.0, 1.0, size=(2, 5, 3))
+        stacked = bell_populations_from_coords(coords)
+        assert stacked.shape == (2, 5, 4)
+        for idx in np.ndindex(2, 5):
+            assert np.array_equal(stacked[idx], bell_populations_from_coords(tuple(coords[idx])))
+
+    @pytest.mark.parametrize("c", [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4), np.zeros((3, 2))])
+    def test_populations_need_three_coordinates(self, c):
+        with pytest.raises(DimensionMismatchError):
+            bell_populations_from_coords(c)
+
     def test_coords_of_examples(self):
         assert np.allclose(coords_of(maximally_mixed()), (0, 0, 0), atol=1e-14)
         assert np.allclose(coords_of(bell_state(4).density()), (-1, -1, -1), atol=1e-12)
