@@ -187,31 +187,39 @@ def _clean_distribution(p) -> np.ndarray:
     return probs
 
 
+def _check_q(q: float) -> float:
+    """The Tsallis index ``q``, which must be positive and finite."""
+    if not 0.0 < q < math.inf:
+        raise InvalidParameterError(f"q must be positive and finite, got {q}")
+    return q
+
+
 def measurement_distribution(rho: DensityMatrix, m: Observable) -> np.ndarray:
     """Outcome probabilities Tr(rho X_i), one per distinct eigenvalue of the
-    observable, ordered by ascending eigenvalue."""
+    observable, ordered by ascending eigenvalue. ``rho`` is a validated
+    state, so negative roundoff is clipped to 0 rather than re-checked."""
     if m.dim != rho.dim:
         raise DimensionMismatchError(f"dimension mismatch: state {rho.dim}, observable {m.dim}")
-    return _clean_distribution(
-        [expectation(rho.matrix, projector) for _, projector in m.spectral]
-    )
+    return np.clip([expectation(rho.matrix, projector) for _, projector in m.spectral], 0.0, None)
+
+
+def _entropy(probs: np.ndarray, q: float) -> float:
+    """Tsallis entropy of a nonnegative distribution, Shannon at q = 1."""
+    if q == 1.0:
+        nonzero = probs[probs > 0.0]
+        return float(-np.sum(nonzero * np.log(nonzero)))
+    return float((1.0 - np.sum(probs**q)) / (q - 1.0))
 
 
 def shannon_entropy(p) -> float:
     """Shannon entropy -sum p ln p in nats, with 0 ln 0 = 0."""
-    probs = _clean_distribution(p)
-    nonzero = probs[probs > 0.0]
-    return float(-np.sum(nonzero * np.log(nonzero)))
+    return _entropy(_clean_distribution(p), 1.0)
 
 
 def tsallis_entropy(p, q: float) -> float:
     """Tsallis entropy (1 - sum p^q)/(q - 1); q = 1 falls back to Shannon."""
-    if q <= 0.0:
-        raise InvalidParameterError(f"q must be positive, got {q}")
-    if q == 1.0:
-        return shannon_entropy(p)
-    probs = _clean_distribution(p)
-    return float((1.0 - np.sum(probs**q)) / (q - 1.0))
+    _check_q(q)
+    return _entropy(_clean_distribution(p), q)
 
 
 def maassen_bound(m: Observable, n: Observable) -> float:
@@ -244,8 +252,8 @@ def entropic_sum_criterion(rho: DensityMatrix, m1: Observable, m2: Observable, c
     for name, obs in (("m1", m1), ("m2", m2)):
         if min(abs(val) for val, _ in obs.spectral) <= DEGENERACY_TOL:
             raise InvalidParameterError(f"observable {name} has an eigenvalue at zero")
-    value = shannon_entropy(measurement_distribution(rho, m1)) + shannon_entropy(
-        measurement_distribution(rho, m2)
+    value = _entropy(measurement_distribution(rho, m1), 1.0) + _entropy(
+        measurement_distribution(rho, m2), 1.0
     )
     return CriterionVerdict(value, c, _detects(value, c), "entropic_sum")
 
@@ -257,8 +265,7 @@ def schmidt_entropy_bound(c: float, q: float) -> float:
     Shannon form at q = 1."""
     if not 0.0 < c < 1.0:
         raise InvalidParameterError(f"c must lie in (0, 1), got {c}")
-    if q <= 0.0:
-        raise InvalidParameterError(f"q must be positive, got {q}")
+    _check_q(q)
     k = math.floor(1.0 / c)
     r = max(1.0 - k * c, 0.0)
     if q == 1.0:
@@ -270,11 +277,12 @@ def schmidt_entropy_bound(c: float, q: float) -> float:
 
 
 def bell_populations(rho: DensityMatrix) -> np.ndarray:
-    """The four Bell-state populations <BS_i|rho|BS_i> of a two-qubit state."""
+    """The four Bell-state populations <BS_i|rho|BS_i> of a two-qubit state.
+    ``rho`` is a validated state, so negative roundoff is clipped to 0 rather
+    than re-checked."""
     if rho.dims != (2, 2):
         raise DimensionMismatchError(f"Bell populations require a 2x2-qubit state, got {rho.dims}")
-    probs = np.array([float(np.vdot(a, rho.matrix @ a).real) for a in _BELL_AMPLITUDES])
-    return _clean_distribution(probs)
+    return np.clip([float(np.vdot(a, rho.matrix @ a).real) for a in _BELL_AMPLITUDES], 0.0, None)
 
 
 def _bell_tsallis_detects(populations: np.ndarray, q: float):
@@ -308,10 +316,8 @@ def bell_tsallis_criterion(rho: DensityMatrix, q: float) -> CriterionVerdict:
     """Tsallis entropy of the Bell-population distribution against the
     Schmidt bound for c = 1/2; strengthens with growing q and reproduces the
     Bell-variance test at q = 2."""
-    if q <= 0.0:
-        raise InvalidParameterError(f"q must be positive, got {q}")
+    threshold = schmidt_entropy_bound(BELL_SCHMIDT_SQ, q)  # checks q
     populations = bell_populations(rho)
-    value = tsallis_entropy(populations, q)
-    threshold = schmidt_entropy_bound(BELL_SCHMIDT_SQ, q)
+    value = _entropy(populations, q)
     detected = bool(_bell_tsallis_detects(populations, q))
     return CriterionVerdict(value, threshold, detected, f"bell_tsallis_q{q:g}")

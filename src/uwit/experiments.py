@@ -27,6 +27,7 @@ from .states import (
 )
 from .criteria import (
     _bell_tsallis_detects,
+    _check_q,
     _detects,
     _linear_witness_values,
     _nonlinear_witness_values,
@@ -191,7 +192,8 @@ def run_detection_sweep(
     if workers <= 1:
         results = map(_block_counts, tasks)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool forks all its workers up front; more than one per task is waste
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_block_counts, tasks))
 
     counts = sum(results, np.zeros((len(p_grid), 6), dtype=np.int64))
@@ -229,10 +231,7 @@ def run_geometry_scan(resolution: int = 101, q_values=(2.0, 4.0, 15.0)) -> Geome
     """
     if resolution < 2:
         raise InvalidParameterError(f"resolution must be at least 2, got {resolution}")
-    q_values = tuple(float(q) for q in q_values)
-    for q in q_values:
-        if q <= 0.0:
-            raise InvalidParameterError(f"q must be positive, got {q}")
+    q_values = tuple(_check_q(float(q)) for q in q_values)
 
     axis = np.linspace(-1.0, 1.0, resolution)
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")

@@ -120,22 +120,25 @@ class BellDiagonalCoords(NamedTuple):
     z: float
 
 
+def _check_radius(d: float) -> float:
+    """The noise-ball radius ``d``, which must lie in [0, sqrt(3)/2]: sqrt(3)/2
+    is the largest distance from I/4 to any 4x4 state. NaN is rejected."""
+    if not 0.0 <= d <= np.sqrt(3.0) / 2.0:
+        raise InvalidParameterError(f"d must lie in [0, sqrt(3)/2], got {d}")
+    return d
+
+
 @dataclass(frozen=True)
 class NoiseBallConfig:
-    """Parameters of the noisy-singlet ensemble: singlet weight ``p``, noise-ball
-    radius ``d`` (Hilbert-Schmidt units), RNG ``seed`` and draw count ``samples``."""
+    """Parameters of the noisy-singlet ensemble: noise-ball radius ``d``
+    (Hilbert-Schmidt units), RNG ``seed`` and draw count ``samples``."""
 
-    p: float = 0.0
     d: float = 0.2
     seed: int = 42
     samples: int = 2000
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise InvalidWeightError(f"p must lie in [0, 1], got {self.p}")
-        # sqrt(3)/2 is the largest distance from I/4 to any 4x4 state
-        if not 0.0 <= self.d <= np.sqrt(3.0) / 2.0:
-            raise InvalidParameterError(f"d must lie in [0, sqrt(3)/2], got {self.d}")
+        _check_radius(self.d)
         if self.samples < 1:
             raise InvalidParameterError(f"samples must be positive, got {self.samples}")
 
@@ -224,9 +227,7 @@ def _draw_noise_matrix(d: float, rng: np.random.Generator, max_attempts: int = 1
 
 def sample_noise_ball(d: float, rng: np.random.Generator) -> DensityMatrix:
     """Random noise state sigma with ||sigma - I/4|| <= d (see _draw_noise_matrix)."""
-    if d < 0.0:
-        raise InvalidParameterError(f"d must be nonnegative, got {d}")
-    return DensityMatrix(_draw_noise_matrix(d, rng), (2, 2))
+    return DensityMatrix(_draw_noise_matrix(_check_radius(d), rng), (2, 2))
 
 
 def noise_rng(seed: int, *stream: int) -> np.random.Generator:

@@ -6,14 +6,25 @@ import sys
 import numpy as np
 import pytest
 
-from uwit import experiments
+from uwit import cli, experiments
 from uwit.cli import main
-from uwit.errors import RejectionOverflowError
-from uwit.states import DensityMatrix, maximally_mixed, save_state
+from uwit.errors import (
+    ConvergenceError,
+    InvalidParameterError,
+    NumericalDefectError,
+    RejectionOverflowError,
+    StateInvariantError,
+)
+from uwit.states import DensityMatrix, bell_states, maximally_mixed, save_state
 
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def with_state(argv, state):
+    """``argv`` with the placeholder "STATE" replaced by ``state``."""
+    return [state if a == "STATE" else a for a in argv]
 
 
 class TestEvaluate:
@@ -96,6 +107,18 @@ class TestEvaluate:
             assert run_cli("evaluate", state, "--criteria", "linear_witness") == 0
             (verdict,) = json.loads(capsys.readouterr().out)["criteria"]
             assert verdict["detected"] is False
+
+    def test_roundoff_negative_population_is_evaluated(self, tmp_path, capsys):
+        # Bell populations (1 + 5e-10, -5e-10, 0, 0) are within PSD_TOL of a state
+        populations = (1 + 5e-10, -5e-10, 0.0, 0.0)
+        m = sum(p * s.density().matrix for p, s in zip(populations, bell_states()))
+        state = tmp_path / "edge.json"
+        save_state(DensityMatrix(m, (2, 2)), state)
+        assert run_cli("evaluate", state, "--q", "1", "--q", "2") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["npt"] is True
+        by_id = {c["id"]: c["detected"] for c in report["criteria"]}
+        assert by_id["bell_variance"] and by_id["bell_tsallis_q1"] and by_id["bell_tsallis_q2"]
 
 
 class TestSweep:
@@ -206,11 +229,27 @@ class TestPinnedOutputs:
                 ("geometry", "--resolution", "9", "--q", "1"),
                 "3e01e9fc808c1499f40b2a9d1168d09aa4a929fb2c758fff237e0a4bd2fd3c2d",
             ),
+            (
+                ("evaluate", "STATE"),
+                "ee0353a906f31814278178c6fbf25e2bc7d2112a15e6fa8698fe59fc638b60d8",
+            ),
+            (
+                ("evaluate", "STATE", "--format", "csv"),
+                "a196f9738d30acada07c36be1e6243243b4fc3a2f8a58cc49f40058766d1ac7b",
+            ),
+            (
+                ("geometry", "--format", "json", "--resolution", "5"),
+                "d63ba4833e5540004a0ad02581b85717890ad2a8e36d879f7aacb13a26478b35",
+            ),
         ],
     )
     def test_output_digest(self, tmp_path, capsys, argv, digest):
+        # STATE is a seeded noisy singlet
+        state = tmp_path / "noisy.json"
+        if "STATE" in argv:
+            assert run_cli("gen-state", "noisy-singlet", "0.9", "0.2", "--seed", "5", "--out", state) == 0
         out = tmp_path / "out"
-        assert run_cli(*argv, "--out", out) == 0
+        assert run_cli(*with_state(argv, state), "--out", out) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
@@ -262,6 +301,56 @@ class TestGenState:
 
     def test_wrong_arity_exits_2(self, tmp_path):
         assert run_cli("gen-state", "werner", "--out", tmp_path / "x.json") == 2
+
+
+class TestParameterBoundary:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen-state", "bell", "nan"),
+            ("gen-state", "bell", "inf"),
+            ("gen-state", "random-separable", "nan"),
+            ("gen-state", "random-separable", "inf"),
+            ("evaluate", "STATE", "--q", "nan"),
+            ("evaluate", "STATE", "--q", "inf"),
+            ("geometry", "--resolution", "3", "--q", "nan"),
+            ("geometry", "--resolution", "3", "--q", "inf"),
+            ("sweep", "--samples", "5", "--p-grid", "abc"),
+        ],
+    )
+    def test_nonfinite_or_malformed_parameter_exits_2(self, tmp_path, capsys, argv):
+        state = tmp_path / "singlet.json"
+        assert run_cli("gen-state", "bell", "4", "--out", state) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run_cli(*with_state(argv, state), "--out", out) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (InvalidParameterError("bad"), 2),
+            (StateInvariantError(["unit_trace"]), 3),
+            (NumericalDefectError("bad"), 5),
+            (ConvergenceError("bad"), 5),
+        ],
+    )
+    def test_exit_code_table(self, monkeypatch, capsys, error, code):
+        def fail():
+            raise error
+
+        monkeypatch.setattr(cli, "werner_thresholds", fail)
+        assert run_cli("werner") == code
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_bare_value_error_is_a_bug_and_propagates(self, monkeypatch):
+        def fail():
+            raise ValueError("not a uwit error")
+
+        monkeypatch.setattr(cli, "werner_thresholds", fail)
+        with pytest.raises(ValueError):
+            run_cli("werner")
 
 
 class TestParser:

@@ -30,6 +30,7 @@ from uwit.states import (
     bell_diagonal_state,
     bell_populations_from_coords,
     bell_state,
+    bell_states,
     maximally_mixed,
     random_density_matrix,
     random_separable_state,
@@ -37,6 +38,11 @@ from uwit.states import (
 )
 
 SINGLET = bell_state(4).density()
+# Bell populations (1 + 5e-10, -5e-10, 0, 0): a valid state within PSD_TOL
+NEAR_BOUNDARY_BELL_DIAGONAL = DensityMatrix(
+    sum(p * s.density().matrix for p, s in zip((1 + 5e-10, -5e-10, 0.0, 0.0), bell_states())),
+    (2, 2),
+)
 MIXED = maximally_mixed()
 ZERO_ZERO = DensityMatrix(np.diag([1.0, 0, 0, 0]).astype(complex), (2, 2))
 
@@ -202,6 +208,15 @@ class TestEntropies:
         with pytest.raises(InvalidParameterError):
             tsallis_entropy([0.5, 0.5], 0.0)
 
+    @pytest.mark.parametrize("q", [-1.0, float("nan"), float("inf")])
+    def test_q_must_be_positive_and_finite(self, q):
+        with pytest.raises(InvalidParameterError):
+            tsallis_entropy([0.5, 0.5], q)
+        with pytest.raises(InvalidParameterError):
+            schmidt_entropy_bound(0.5, q)
+        with pytest.raises(InvalidParameterError):
+            bell_tsallis_criterion(SINGLET, q)
+
     def test_axioms(self):
         rng = np.random.default_rng(37)
         for n in (2, 3, 5):
@@ -355,6 +370,19 @@ class TestBellCriteria:
 
     def test_bell_populations_of_singlet(self):
         assert np.allclose(bell_populations(SINGLET), [0, 0, 0, 1], atol=1e-12)
+
+    def test_roundoff_negative_population_of_a_valid_state(self):
+        # DensityMatrix admits eigenvalues down to PSD_TOL = -1e-9; the
+        # populations of such a state are clipped at 0, not re-validated
+        rho = NEAR_BOUNDARY_BELL_DIAGONAL
+        assert bell_populations(rho).min() == 0.0
+        assert bell_variance_criterion(rho).detected
+        assert bell_tsallis_criterion(rho, 1.0).detected
+        bell_basis = Observable.from_matrix(
+            sum(k * s.density().matrix for k, s in enumerate(bell_states(), start=1))
+        )
+        probs = measurement_distribution(rho, bell_basis)
+        assert probs.min() == 0.0 and probs.max() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestConcavity:

@@ -101,6 +101,30 @@ class TestDetectionSweep:
         )
         assert not np.any(flags[:-1] & ~flags[1:])
 
+    def test_pool_size_capped_at_block_count(self, monkeypatch):
+        # a pool forks all its workers up front, so it gets at most one per block
+        requested = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        config = NoiseBallConfig(d=0.2, seed=7, samples=20)
+        expected = run_detection_sweep(config, [0.3, 0.6], workers=1)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(experiments, "_BLOCK", 7)
+        assert run_detection_sweep(config, [0.3, 0.6], workers=64) == expected
+        assert requested == [3]
+
     def test_rerun_is_identical(self):
         rows_a = run_detection_sweep(SMALL, [0.2, 0.6])
         rows_b = run_detection_sweep(SMALL, [0.2, 0.6])

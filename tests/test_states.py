@@ -196,9 +196,15 @@ class TestNoiseBall:
         with pytest.raises(InvalidParameterError):
             sample_noise_ball(-0.1, noise_rng(1))
 
+    @pytest.mark.parametrize("d", [float("nan"), float("inf"), 0.9])
+    def test_radius_outside_state_space_rejected(self, d):
+        # the sampler and NoiseBallConfig share one rule: 0 <= d <= sqrt(3)/2
+        with pytest.raises(InvalidParameterError):
+            sample_noise_ball(d, noise_rng(1))
+        with pytest.raises(InvalidParameterError):
+            NoiseBallConfig(d=d)
+
     def test_config_validation(self):
-        with pytest.raises(InvalidWeightError):
-            NoiseBallConfig(p=1.5)
         with pytest.raises(InvalidParameterError):
             NoiseBallConfig(d=-0.1)
         with pytest.raises(InvalidParameterError):
