@@ -81,7 +81,6 @@ from .criteria import (
 )
 from .experiments import (
     DetectionRow,
-    GeometryCell,
     GeometryScan,
     WernerThresholds,
     default_p_grid,

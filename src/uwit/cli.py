@@ -53,13 +53,13 @@ from .criteria import (
 )
 from .experiments import (
     default_p_grid,
-    detection_rows_to_dicts,
-    geometry_scan_to_dicts,
     run_detection_sweep,
     run_geometry_scan,
     werner_thresholds,
     write_detection_csv,
+    write_detection_json,
     write_geometry_csv,
+    write_geometry_json,
 )
 
 EXIT_OK = 0
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--workers", type=int, default=None)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.add_argument("--out", default="sweep.csv")
+    p_sweep.add_argument("--out", default=None, help="output path (default: sweep.<format>)")
 
     p_geom = sub.add_parser("geometry", help="scan the Bell-diagonal coordinate cube")
     p_geom.set_defaults(run=_cmd_geometry)
@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--q", action="append", type=_tsallis_q, default=None, help="Tsallis q (repeatable; default 2 4 15)"
     )
     p_geom.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_geom.add_argument("--out", default="geometry.csv")
+    p_geom.add_argument("--out", default=None, help="output path (default: geometry.<format>)")
 
     p_werner = sub.add_parser("werner", help="locate detection thresholds on the Werner line")
     p_werner.set_defaults(run=_cmd_werner)
@@ -211,14 +211,6 @@ def _save(path, write) -> None:
 
 def _save_text(path, text: str) -> None:
     _save(path, lambda p: Path(p).write_text(text, encoding="utf-8"))
-
-
-def _write_geometry_json(scan, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("[\n")
-        for i, record in enumerate(geometry_scan_to_dicts(scan)):
-            fh.write((",\n" if i else "") + json.dumps(record))
-        fh.write("\n]\n")
 
 
 def _cmd_evaluate(args) -> None:
@@ -265,22 +257,22 @@ def _cmd_sweep(args) -> None:
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     config = NoiseBallConfig(d=args.d, seed=args.seed, samples=args.samples)
     rows = run_detection_sweep(config, args.p_grid or default_p_grid(), workers=workers)
-    if args.format == "csv":
-        _save(args.out, lambda path: write_detection_csv(rows, path))
-    else:
-        _save_text(args.out, json.dumps(detection_rows_to_dicts(rows), indent=2) + "\n")
+    out = f"sweep.{args.format}" if args.out is None else args.out
+    write = write_detection_csv if args.format == "csv" else write_detection_json
+    _save(out, lambda path: write(rows, path))
     print(
-        f"sweep: wrote {len(rows)} rows to {args.out} "
+        f"sweep: wrote {len(rows)} rows to {out} "
         f"(d={args.d:g}, samples={args.samples}, seed={args.seed}, workers={workers})"
     )
 
 
 def _cmd_geometry(args) -> None:
     scan = run_geometry_scan(resolution=args.resolution, q_values=args.q or [2.0, 4.0, 15.0])
-    write = write_geometry_csv if args.format == "csv" else _write_geometry_json
-    _save(args.out, lambda path: write(scan, path))
+    out = f"geometry.{args.format}" if args.out is None else args.out
+    write = write_geometry_csv if args.format == "csv" else write_geometry_json
+    _save(out, lambda path: write(scan, path))
     print(
-        f"geometry: wrote {len(scan) * len(scan.q_values)} rows to {args.out} "
+        f"geometry: wrote {len(scan) * len(scan.q_values)} rows to {out} "
         f"(resolution={scan.resolution}, q={[float(q) for q in scan.q_values]})"
     )
 

@@ -12,7 +12,7 @@ entanglement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -304,12 +304,10 @@ def _bell_tsallis_detects(populations: np.ndarray, q: float):
 
 def bell_variance_criterion(rho: DensityMatrix) -> CriterionVerdict:
     """Summed variances of the four Bell projectors, 1 - sum_i p_i^2, which
-    separable states keep at or above 1/2. On Bell-diagonal states detection
-    is exactly x^2 + y^2 + z^2 > 1; the decision is the q = 2 Tsallis test,
-    so the two verdicts can never split."""
-    populations = bell_populations(rho)
-    detected = bool(_bell_tsallis_detects(populations, 2.0))
-    return CriterionVerdict(1.0 - float(np.sum(populations**2)), 0.5, detected, "bell_variance")
+    separable states keep at or above 1/2. This is the q = 2 Tsallis test
+    under its own id; on Bell-diagonal states it detects exactly
+    x^2 + y^2 + z^2 > 1."""
+    return replace(bell_tsallis_criterion(rho, 2.0), criterion_id="bell_variance")
 
 
 def bell_tsallis_criterion(rho: DensityMatrix, q: float) -> CriterionVerdict:

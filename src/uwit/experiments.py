@@ -7,17 +7,19 @@ and reuses it at every singlet weight of the grid."""
 
 from __future__ import annotations
 
-import csv
+import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from itertools import chain, product
+from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidWeightError, NumericalDefectError
+from .errors import InvalidParameterError, NumericalDefectError
 from .states import (
     NPT_THRESHOLD,
-    BellDiagonalCoords,
     NoiseBallConfig,
+    _check_weight,
     _draw_noise_matrix,
     _octahedron_mask,
     _tetrahedron_mask,
@@ -50,20 +52,9 @@ class DetectionRow:
 
 
 @dataclass(frozen=True)
-class GeometryCell:
-    """Classification of one Bell-diagonal coordinate cell."""
-
-    coords: BellDiagonalCoords
-    is_state: bool
-    in_octahedron: bool
-    sphere_detected: bool
-    tsallis_detected: dict[float, bool]
-
-
-@dataclass(frozen=True)
 class GeometryScan:
-    """Vectorized result of a Bell-diagonal grid scan; ``cells()`` iterates
-    the same data as GeometryCell records."""
+    """Vectorized result of a Bell-diagonal grid scan; geometry_scan_to_dicts
+    gives one record per cell and q."""
 
     resolution: int
     q_values: tuple[float, ...]
@@ -77,16 +68,6 @@ class GeometryScan:
 
     def __len__(self) -> int:
         return self.x.size
-
-    def cells(self):
-        for i in range(self.x.size):
-            yield GeometryCell(
-                BellDiagonalCoords(float(self.x[i]), float(self.y[i]), float(self.z[i])),
-                bool(self.is_state[i]),
-                bool(self.in_octahedron[i]),
-                bool(self.sphere_detected[i]),
-                {q: bool(self.tsallis_detected[q][i]) for q in self.q_values},
-            )
 
 
 @dataclass(frozen=True)
@@ -179,10 +160,7 @@ def run_detection_sweep(
     """
     if p_grid is None:
         p_grid = default_p_grid()
-    p_grid = [float(p) for p in p_grid]
-    for p in p_grid:
-        if not 0.0 <= p <= 1.0:
-            raise InvalidWeightError(f"grid value p={p} outside [0, 1]")
+    p_grid = [_check_weight(float(p)) for p in p_grid]
 
     tasks = [
         (config.seed, config.d, tuple(p_grid), start, min(start + _BLOCK, config.samples))
@@ -285,69 +263,83 @@ def _fmt(v) -> str:
     return format(float(v), ".9g")
 
 
+_FLAG = ("0", "1")  # a bool flag as a CSV field
 DETECTION_CSV_HEADER = "p,frac_witness,frac_lur,frac_npt,samples,seed"
 GEOMETRY_CSV_HEADER = "x,y,z,is_state,in_octahedron,sphere_detected,q,tsallis_detected"
+
+
+def _detection_rows(rows):
+    """Each sweep row's values in DETECTION_CSV_HEADER order, which is the
+    field order of DetectionRow."""
+    return map(astuple, rows)
+
+
+def _geometry_rows(scan: GeometryScan, number):
+    """Each row's values in GEOMETRY_CSV_HEADER order, one row per cell per
+    q, with the coordinates and q rendered by ``number``. Cells run over x,
+    then y, then z; the flags become Python bools one x-slab at a time, so a
+    fine scan is never held as lists."""
+    slab = scan.resolution**2
+    axis = [number(v) for v in scan.x[::slab]]
+    q_values = [number(q) for q in scan.q_values]
+    columns = (
+        scan.is_state,
+        scan.in_octahedron,
+        scan.sphere_detected,
+        *(scan.tsallis_detected[q] for q in scan.q_values),
+    )
+    flags = chain.from_iterable(
+        zip(*(column[start : start + slab].tolist() for column in columns))
+        for start in range(0, len(scan), slab)
+    )
+    for (x, y, z), (state, octahedron, sphere, *tsallis) in zip(product(axis, repeat=3), flags):
+        for q, detected in zip(q_values, tsallis):
+            yield x, y, z, state, octahedron, sphere, q, detected
 
 
 def write_detection_csv(rows, path) -> None:
     """Write sweep rows as CSV (floats with 9 significant digits)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DETECTION_CSV_HEADER.split(","))
-        for row in rows:
-            writer.writerow(
-                [
-                    _fmt(row.p),
-                    _fmt(row.fraction_witness),
-                    _fmt(row.fraction_lur),
-                    _fmt(row.fraction_npt),
-                    row.samples,
-                    row.seed,
-                ]
-            )
+        fh.write(DETECTION_CSV_HEADER + "\n")
+        fh.writelines(
+            f"{_fmt(p)},{_fmt(witness)},{_fmt(lur)},{_fmt(npt)},{samples},{seed}\n"
+            for p, witness, lur, npt, samples, seed in _detection_rows(rows)
+        )
 
 
 def write_geometry_csv(scan: GeometryScan, path) -> None:
     """Write a geometry scan as CSV, one row per cell per q."""
-    q_strings = [_fmt(q) for q in scan.q_values]
-    detected = [scan.tsallis_detected[q] for q in scan.q_values]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(GEOMETRY_CSV_HEADER + "\n")
-        for i in range(len(scan)):
-            prefix = (
-                f"{_fmt(scan.x[i])},{_fmt(scan.y[i])},{_fmt(scan.z[i])},"
-                f"{int(scan.is_state[i])},{int(scan.in_octahedron[i])},"
-                f"{int(scan.sphere_detected[i])}"
-            )
-            for qs, det in zip(q_strings, detected):
-                fh.write(f"{prefix},{qs},{int(det[i])}\n")
+        fh.writelines(
+            f"{x},{y},{z},{_FLAG[state]},{_FLAG[octa]},{_FLAG[sphere]},{q},{_FLAG[detected]}\n"
+            for x, y, z, state, octa, sphere, q, detected in _geometry_rows(scan, _fmt)
+        )
 
 
 def detection_rows_to_dicts(rows) -> list[dict]:
-    return [
-        {
-            "p": row.p,
-            "frac_witness": row.fraction_witness,
-            "frac_lur": row.fraction_lur,
-            "frac_npt": row.fraction_npt,
-            "samples": row.samples,
-            "seed": row.seed,
-        }
-        for row in rows
-    ]
+    """One dict per sweep row, keyed by the CSV columns."""
+    columns = DETECTION_CSV_HEADER.split(",")
+    return [dict(zip(columns, row)) for row in _detection_rows(rows)]
 
 
 def geometry_scan_to_dicts(scan: GeometryScan):
-    """One dict per cell per q, in CSV row order."""
-    for i in range(len(scan)):
-        for q in scan.q_values:
-            yield {
-                "x": float(scan.x[i]),
-                "y": float(scan.y[i]),
-                "z": float(scan.z[i]),
-                "is_state": bool(scan.is_state[i]),
-                "in_octahedron": bool(scan.in_octahedron[i]),
-                "sphere_detected": bool(scan.sphere_detected[i]),
-                "q": q,
-                "tsallis_detected": bool(scan.tsallis_detected[q][i]),
-            }
+    """One dict per cell per q, keyed by the CSV columns, in CSV row order."""
+    columns = GEOMETRY_CSV_HEADER.split(",")
+    return (dict(zip(columns, row)) for row in _geometry_rows(scan, float))
+
+
+def write_detection_json(rows, path) -> None:
+    """Write sweep rows as an indented JSON list of detection_rows_to_dicts."""
+    text = json.dumps(detection_rows_to_dicts(rows), indent=2) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
+
+
+def write_geometry_json(scan: GeometryScan, path) -> None:
+    """Write a geometry scan as a JSON list, one geometry_scan_to_dicts
+    record per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("[\n")
+        for i, record in enumerate(geometry_scan_to_dicts(scan)):
+            fh.write((",\n" if i else "") + json.dumps(record))
+        fh.write("\n]\n")

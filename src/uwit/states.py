@@ -128,6 +128,14 @@ def _check_radius(d: float) -> float:
     return d
 
 
+def _check_weight(p: float) -> float:
+    """The singlet weight ``p`` of a noisy singlet, which must lie in [0, 1].
+    NaN is rejected."""
+    if not 0.0 <= p <= 1.0:
+        raise InvalidWeightError(f"p must lie in [0, 1], got {p}")
+    return p
+
+
 @dataclass(frozen=True)
 class NoiseBallConfig:
     """Parameters of the noisy-singlet ensemble: noise-ball radius ``d``
@@ -186,8 +194,7 @@ def schmidt_coefficients(psi: PureState) -> np.ndarray:
 
 def noisy_singlet(p: float, sigma: DensityMatrix) -> DensityMatrix:
     """Mixture p |psi-><psi-| + (1-p) sigma of the singlet with separable noise."""
-    if not 0.0 <= p <= 1.0:
-        raise InvalidWeightError(f"p must lie in [0, 1], got {p}")
+    _check_weight(p)
     if sigma.dims != (2, 2):
         raise DimensionMismatchError(f"sigma must be a 2x2-qubit state, got dims {sigma.dims}")
     return DensityMatrix(p * singlet_projector() + (1.0 - p) * sigma.matrix, (2, 2))

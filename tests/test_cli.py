@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +201,25 @@ class TestGeometry:
         assert run_cli("geometry", "--resolution", "1", "--out", tmp_path / "g.csv") == 2
 
 
+class TestDefaultOut:
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("sweep", "--samples", "5", "--p-grid", "0.5"), "sweep.csv"),
+            (("sweep", "--samples", "5", "--p-grid", "0.5", "--format", "json"), "sweep.json"),
+            (("geometry", "--resolution", "3"), "geometry.csv"),
+            (("geometry", "--resolution", "3", "--format", "json"), "geometry.json"),
+        ],
+    )
+    def test_default_out_follows_format(self, tmp_path, monkeypatch, capsys, argv, name):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 0
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        if name.endswith(".json"):
+            json.loads((tmp_path / name).read_text())
+        assert f"rows to {name} " in capsys.readouterr().out
+
+
 class TestWerner:
     def test_prints_thirds(self, capsys):
         assert run_cli("werner") == 0
@@ -240,6 +261,15 @@ class TestPinnedOutputs:
             (
                 ("geometry", "--format", "json", "--resolution", "5"),
                 "d63ba4833e5540004a0ad02581b85717890ad2a8e36d879f7aacb13a26478b35",
+            ),
+            (
+                ("sweep", "--samples", "200", "--seed", "7", "--workers", "1", "--format", "json"),
+                "f7ebacc58646d731ddc282282446765d80eba48673a7b0a274e0c16f5a2c7995",
+            ),
+            (
+                # a repeated q gives one row per listed q, not per distinct q
+                ("geometry", "--resolution", "11", "--q", "2", "--q", "2", "--q", "0.5"),
+                "3e7f443bbf5795a1d8bab029dce9a880c2369f195369f2a38b17d65775890dc2",
             ),
         ],
     )
@@ -316,6 +346,8 @@ class TestParameterBoundary:
             ("geometry", "--resolution", "3", "--q", "nan"),
             ("geometry", "--resolution", "3", "--q", "inf"),
             ("sweep", "--samples", "5", "--p-grid", "abc"),
+            ("sweep", "--samples", "5", "--p-grid", "nan"),
+            ("sweep", "--samples", "5", "--p-grid", "0.5,inf"),
         ],
     )
     def test_nonfinite_or_malformed_parameter_exits_2(self, tmp_path, capsys, argv):
@@ -359,9 +391,13 @@ class TestParser:
 
     def test_module_entry_point(self, tmp_path):
         state = tmp_path / "singlet.json"
+        # the subprocess imports uwit from this checkout, installed or not
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "uwit", "gen-state", "bell", "4", "--out", str(state)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert result.returncode == 0 and state.exists()

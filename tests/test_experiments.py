@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from uwit.experiments import (
     GEOMETRY_CSV_HEADER,
     default_p_grid,
     evaluate_detection_flags,
+    geometry_scan_to_dicts,
     run_detection_sweep,
     run_geometry_scan,
     werner_thresholds,
@@ -16,6 +19,7 @@ from uwit.experiments import (
     write_geometry_csv,
 )
 from uwit.states import (
+    BellDiagonalCoords,
     NoiseBallConfig,
     is_npt,
     noise_rng,
@@ -24,6 +28,24 @@ from uwit.states import (
 )
 
 SMALL = NoiseBallConfig(d=0.2, seed=7, samples=200)
+
+
+def cells_by_coords(scan):
+    """The scan's records grouped by cell: (x, y, z) -> a cell with its
+    coords, its flags and tsallis_detected as a q -> flag dict."""
+    cells = {}
+    for record in geometry_scan_to_dicts(scan):
+        key = (record["x"], record["y"], record["z"])
+        if key not in cells:
+            cells[key] = SimpleNamespace(
+                coords=BellDiagonalCoords(*key),
+                is_state=record["is_state"],
+                in_octahedron=record["in_octahedron"],
+                sphere_detected=record["sphere_detected"],
+                tsallis_detected={},
+            )
+        cells[key].tsallis_detected[record["q"]] = record["tsallis_detected"]
+    return cells
 
 
 class TestDetectionSweep:
@@ -178,7 +200,7 @@ class TestWernerThresholds:
 class TestGeometryScan:
     def test_origin_cell(self):
         scan = run_geometry_scan(resolution=3, q_values=[2.0, 4.0])
-        cells = {(c.coords.x, c.coords.y, c.coords.z): c for c in scan.cells()}
+        cells = cells_by_coords(scan)
         origin = cells[(0.0, 0.0, 0.0)]
         assert origin.is_state and origin.in_octahedron
         assert not origin.sphere_detected
@@ -186,7 +208,7 @@ class TestGeometryScan:
 
     def test_singlet_corner_cell(self):
         scan = run_geometry_scan(resolution=3, q_values=[2.0, 4.0, 15.0])
-        cells = {(c.coords.x, c.coords.y, c.coords.z): c for c in scan.cells()}
+        cells = cells_by_coords(scan)
         corner = cells[(-1.0, -1.0, -1.0)]
         assert corner.is_state and not corner.in_octahedron
         assert corner.sphere_detected
@@ -194,7 +216,7 @@ class TestGeometryScan:
 
     def test_non_state_corner(self):
         scan = run_geometry_scan(resolution=3, q_values=[2.0])
-        cells = {(c.coords.x, c.coords.y, c.coords.z): c for c in scan.cells()}
+        cells = cells_by_coords(scan)
         outside = cells[(1.0, 1.0, 1.0)]
         assert not outside.is_state and not outside.in_octahedron
         assert not outside.sphere_detected and not outside.tsallis_detected[2.0]
@@ -241,7 +263,7 @@ class TestGeometryScan:
         )
 
         scan = run_geometry_scan(resolution=7, q_values=[1.0, 2.0, 15.0])
-        for cell in scan.cells():
+        for cell in cells_by_coords(scan).values():
             assert cell.is_state == in_state_tetrahedron(cell.coords)
             assert cell.in_octahedron == in_witness_octahedron(cell.coords)
             if not cell.is_state:
