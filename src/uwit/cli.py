@@ -132,9 +132,17 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
+def _worker_count(text: str) -> int:
+    workers = int(text)
+    if workers < 1:
+        raise InvalidParameterError(f"workers must be at least 1, got {workers}")
+    return workers
+
+
 # argparse reports a ValueError from a type as "invalid <__name__> value: '...'"
 _tsallis_q.__name__ = "positive finite q"
 _float_list.__name__ = "float list"
+_worker_count.__name__ = "worker count (at least 1)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--samples", type=int, default=2000)
     p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--workers", type=int, default=None)
+    p_sweep.add_argument("--workers", type=_worker_count, default=None)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--out", default=None, help="output path (default: sweep.<format>)")
 

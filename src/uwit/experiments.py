@@ -297,6 +297,45 @@ def _geometry_rows(scan: GeometryScan, number):
             yield x, y, z, state, octahedron, sphere, q, detected
 
 
+def _geometry_slabs(scan: GeometryScan, number, words, field, sep, ends):
+    """The rows of each x-slab of the scan (resolution**2 cells over y, then
+    z, one row per cell per listed q), as an object array of strings in file
+    order. A row is ``ends[0]``, then ``field(column, value)`` for each column
+    joined by ``sep``, then ``ends[1]``; numbers are rendered by ``number``
+    and flags as ``words[flag]``. A scan without q has no rows and no slabs.
+
+    Each string is rendered once: an x part per slab, a y, z part per cell of
+    a slab and a row tail per (state, octahedron, sphere) code, q and Tsallis
+    flag; a row is the sum of its cell prefix and its tail."""
+    if not scan.q_values:
+        return
+    columns = GEOMETRY_CSV_HEADER.split(",")
+    slab = scan.resolution**2
+    axis = [number(v) for v in scan.x[::slab]]
+    q_values = [number(q) for q in scan.q_values]
+
+    def tail(flags, q, detected):
+        values = (*(words[flag] for flag in flags), q, words[detected])
+        return sep.join(map(field, columns[3:], values)) + ends[1]
+
+    yz = np.array(
+        [field("y", y) + sep + field("z", z) + sep for y, z in product(axis, repeat=2)], dtype=object
+    )
+    # tails[4 * state + 2 * octahedron + sphere, q index, tsallis flag]; the
+    # flags index it as int8, since a bool array would act as a mask
+    tails = np.array(
+        [[[tail(flags, q, t) for t in (0, 1)] for q in q_values] for flags in product((0, 1), repeat=3)],
+        dtype=object,
+    )
+    q_index = np.arange(len(q_values))
+    for x, start in zip(axis, range(0, len(scan), slab)):
+        cells = slice(start, start + slab)
+        code = 4 * scan.is_state[cells] + 2 * scan.in_octahedron[cells] + scan.sphere_detected[cells]
+        tsallis = np.stack([scan.tsallis_detected[q][cells] for q in scan.q_values], axis=1)
+        prefix = ends[0] + field("x", x) + sep + yz
+        yield (prefix[:, None] + tails[code[:, None], q_index, tsallis.view(np.int8)]).ravel()
+
+
 def write_detection_csv(rows, path) -> None:
     """Write sweep rows as CSV (floats with 9 significant digits)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -311,10 +350,8 @@ def write_geometry_csv(scan: GeometryScan, path) -> None:
     """Write a geometry scan as CSV, one row per cell per q."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(GEOMETRY_CSV_HEADER + "\n")
-        fh.writelines(
-            f"{x},{y},{z},{_FLAG[state]},{_FLAG[octa]},{_FLAG[sphere]},{q},{_FLAG[detected]}\n"
-            for x, y, z, state, octa, sphere, q, detected in _geometry_rows(scan, _fmt)
-        )
+        for rows in _geometry_slabs(scan, _fmt, _FLAG, lambda column, value: value, ",", ("", "\n")):
+            fh.write("".join(rows))
 
 
 def detection_rows_to_dicts(rows) -> list[dict]:
@@ -337,9 +374,18 @@ def write_detection_json(rows, path) -> None:
 
 def write_geometry_json(scan: GeometryScan, path) -> None:
     """Write a geometry scan as a JSON list, one geometry_scan_to_dicts
-    record per line."""
+    record per line, with the bytes json.dumps gives each record (a float
+    is its repr)."""
+    slabs = _geometry_slabs(
+        scan,
+        lambda v: repr(float(v)),
+        ("false", "true"),
+        lambda column, value: f'"{column}": {value}',
+        ", ",
+        ("{", "}"),
+    )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("[\n")
-        for i, record in enumerate(geometry_scan_to_dicts(scan)):
-            fh.write((",\n" if i else "") + json.dumps(record))
+        for i, rows in enumerate(slabs):
+            fh.write((",\n" if i else "") + ",\n".join(rows))
         fh.write("\n]\n")

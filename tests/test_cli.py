@@ -271,6 +271,14 @@ class TestPinnedOutputs:
                 ("geometry", "--resolution", "11", "--q", "2", "--q", "2", "--q", "0.5"),
                 "3e7f443bbf5795a1d8bab029dce9a880c2369f195369f2a38b17d65775890dc2",
             ),
+            (
+                ("geometry", "--resolution", "31"),
+                "248e1559b7988a82cdbd5932f383c029c58b76f2090ad8f3a2ff339af35902c5",
+            ),
+            (
+                ("geometry", "--format", "json", "--resolution", "13", "--q", "1", "--q", "200"),
+                "48d0b0e810fd8229ba28e0a8e6438519a6f70022142ee4e4379355851ca585db",
+            ),
         ],
     )
     def test_output_digest(self, tmp_path, capsys, argv, digest):
@@ -348,6 +356,8 @@ class TestParameterBoundary:
             ("sweep", "--samples", "5", "--p-grid", "abc"),
             ("sweep", "--samples", "5", "--p-grid", "nan"),
             ("sweep", "--samples", "5", "--p-grid", "0.5,inf"),
+            ("sweep", "--samples", "5", "--workers", "0"),
+            ("sweep", "--samples", "5", "--workers", "-3"),
         ],
     )
     def test_nonfinite_or_malformed_parameter_exits_2(self, tmp_path, capsys, argv):

@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +18,7 @@ from uwit.experiments import (
     werner_thresholds,
     write_detection_csv,
     write_geometry_csv,
+    write_geometry_json,
 )
 from uwit.states import (
     BellDiagonalCoords,
@@ -246,6 +248,38 @@ class TestGeometryScan:
         lines = path.read_text().splitlines()
         assert lines[0] == GEOMETRY_CSV_HEADER
         assert len(lines) == 1 + 5**3 * 2
+
+    @pytest.mark.parametrize(
+        "resolution, q_values",
+        [
+            (2, (0.3,)),
+            (4, ()),
+            (5, (2,)),
+            (9, (1,)),
+            (11, (2, 2, 0.5)),
+            (12, (2, 4, 15)),
+            (13, (1, 200)),
+            (31, (2, 4, 15)),
+        ],
+    )
+    def test_writers_match_record_view(self, tmp_path, resolution, q_values):
+        # the record view is the oracle: a CSV line per record, and the JSON
+        # a json.dumps line per record
+        scan = run_geometry_scan(resolution=resolution, q_values=q_values)
+        records = list(geometry_scan_to_dicts(scan))
+        assert len(records) == resolution**3 * len(q_values)
+        fmt, flag = experiments._fmt, lambda b: "1" if b else "0"
+        csv_text = GEOMETRY_CSV_HEADER + "\n" + "".join(
+            f"{fmt(r['x'])},{fmt(r['y'])},{fmt(r['z'])},{flag(r['is_state'])},"
+            f"{flag(r['in_octahedron'])},{flag(r['sphere_detected'])},{fmt(r['q'])},"
+            f"{flag(r['tsallis_detected'])}\n"
+            for r in records
+        )
+        json_text = "[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n"
+        write_geometry_csv(scan, tmp_path / "geometry.csv")
+        write_geometry_json(scan, tmp_path / "geometry.json")
+        assert (tmp_path / "geometry.csv").read_bytes() == csv_text.encode()
+        assert (tmp_path / "geometry.json").read_bytes() == json_text.encode()
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
