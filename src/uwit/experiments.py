@@ -18,6 +18,7 @@ import numpy as np
 from .errors import InvalidParameterError, NumericalDefectError
 from .states import (
     NPT_THRESHOLD,
+    PSD_TOL,
     NoiseBallConfig,
     _check_weight,
     _draw_noise_matrix,
@@ -28,6 +29,7 @@ from .states import (
     singlet_projector,
 )
 from .criteria import (
+    DETECTION_TOL,
     _bell_tsallis_detects,
     _check_q,
     _detects,
@@ -36,6 +38,8 @@ from .criteria import (
 )
 
 _BLOCK = 256
+# closed-form sweep decisions this close to a threshold are re-decided per p
+_GUARD = 1e-7
 _SINGLET = singlet_projector()
 
 
@@ -81,28 +85,101 @@ class WernerThresholds:
 
 def _draw_block(seed: int, d: float, start: int, stop: int) -> np.ndarray:
     """Noise matrices sigma_i for sample indices [start, stop), each drawn from
-    its own stream keyed by (seed, i)."""
-    sigma = np.empty((stop - start, 4, 4), dtype=complex)
+    its own stream keyed by (seed, i): the draws of _draw_noise_matrix, with
+    every sample's first candidate built and PSD-checked as one batch.
+
+    A sample whose first candidate is rejected is redrawn by
+    _draw_noise_matrix on a fresh stream with the same key, which replays
+    that candidate and goes on. Norms are taken per matrix and radii in
+    Python floats, as _draw_noise_matrix takes them, so the bits agree."""
+    n = stop - start
+    eye4 = np.eye(4, dtype=complex)
+    if d == 0.0:
+        return np.tile(eye4 / 4.0, (n, 1, 1))
+    normals = np.empty((n, 2, 4, 4))
+    radii = []
+    # one generator at a time: a block's worth of them would hold about 1 MB
     for j, i in enumerate(range(start, stop)):
-        sigma[j] = _draw_noise_matrix(d, noise_rng(seed, i))
+        rng = noise_rng(seed, i)
+        normals[j] = rng.standard_normal((2, 4, 4))  # the stream of two (4, 4) draws
+        radii.append(d * rng.uniform() ** (1.0 / 15.0))
+    x = normals[:, 0] + 1j * normals[:, 1]
+    h = (x + x.conj().transpose(0, 2, 1)) / 2.0
+    g = h - (np.trace(h, axis1=1, axis2=2).real / 4.0)[:, None, None] * eye4
+    norms = [float(np.linalg.norm(m)) for m in g]
+    scale = [r / norm if norm >= 1e-12 else 0.0 for r, norm in zip(radii, norms)]
+    sigma = eye4 / 4.0 + np.array(scale)[:, None, None] * g
+    rejected = (np.linalg.eigvalsh(sigma)[:, 0] < PSD_TOL) | (np.array(norms) < 1e-12)
+    for j in np.flatnonzero(rejected):
+        sigma[j] = _draw_noise_matrix(d, noise_rng(seed, start + j))
     return sigma
+
+
+def _partial_transposes(rho: np.ndarray) -> np.ndarray:
+    """Partial transposes (second qubit) of an (n, 4, 4) stack."""
+    return rho.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
 
 
 def _block_flags(sigma: np.ndarray, p: float):
     """Detection flags (witness, nonlinear, npt) of the noisy singlets
     p |psi-><psi-| + (1 - p) sigma_i for a stack of noise matrices sigma_i.
 
-    The witnesses use the batch kernels of the scalar criteria. The sweep
-    calls this once per grid point on a block's sigma, so every p sees the
-    same noise (common random numbers); werner_thresholds uses sigma = I/4.
+    The witnesses use the batch kernels of the scalar criteria. This is the
+    per-p reference: _sweep_flags falls back on it near a threshold,
+    evaluate_detection_flags calls it on a sweep's sigma, and
+    werner_thresholds on sigma = I/4.
     """
-    n = len(sigma)
     rho = p * _SINGLET[None, :, :] + (1.0 - p) * sigma
     linear = _linear_witness_values(rho)
     nonlinear = _nonlinear_witness_values(rho, linear)
-    pt = rho.reshape(n, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(n, 4, 4)
-    min_pt_eig = np.linalg.eigvalsh(pt)[:, 0]
+    min_pt_eig = np.linalg.eigvalsh(_partial_transposes(rho))[:, 0]
     return _detects(linear, 0.0), _detects(nonlinear, 0.0), min_pt_eig < NPT_THRESHOLD
+
+
+def _sweep_flags(sigma: np.ndarray, p_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flags of _block_flags at every p of the grid, each of shape
+    (len(sigma), len(p_grid)), from closed forms in p.
+
+    Along rho(p) = p S + (1 - p) sigma the singlet S has witness value -2 and
+    zero collective-Pauli means, so the linear value is -2p + (1 - p) L_sigma
+    and the nonlinear one subtracts (1 - p)^2 times sigma's half summed
+    squared means. S's partial transpose is I/2 - |phi+><phi+|, so
+    rho(p)^T - t I = H(p) - p |phi+><phi+| with t = NPT_THRESHOLD and
+    H(p) = (p/2 - t) I + (1 - p) sigma^T. While H(p) > 0 this rank-one
+    downdate has an eigenvalue below 0 iff f = p <phi+|H(p)^-1|phi+> > 1;
+    one eigendecomposition of sigma^T per sample gives f at every p.
+
+    A pair (sample, p) whose value lies within _GUARD of its threshold, or
+    whose H(p) is not above _GUARD, is re-decided by _block_flags, so the
+    flags are the per-p kernel's flags.
+    """
+    p = np.asarray(p_grid, dtype=float)
+    q = 1.0 - p
+    linear_sigma = _linear_witness_values(sigma)
+    half_means_sq = linear_sigma - _nonlinear_witness_values(sigma, linear_sigma)
+    linear = -2.0 * p + q * linear_sigma[:, None]
+    nonlinear = linear - q**2 * half_means_sq[:, None]
+
+    s, u = np.linalg.eigh(_partial_transposes(sigma))
+    overlap = np.abs(u[:, 0, :] + u[:, 3, :]) ** 2 / 2.0  # |<u_i|phi+>|^2
+    shift = p / 2.0 - NPT_THRESHOLD
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = p * sum(overlap[:, i, None] / (shift + q * s[:, i, None]) for i in range(4))
+    h_min = shift + q * s[:, :1]  # eigh sorts s ascending and q >= 0
+
+    witness, lur, npt = _detects(linear, 0.0), _detects(nonlinear, 0.0), f > 1.0
+    threshold = -DETECTION_TOL
+    unsure = (
+        (np.abs(linear - threshold) < _GUARD)
+        | (np.abs(nonlinear - threshold) < _GUARD)
+        | (np.abs(f - 1.0) < _GUARD)
+        | (h_min <= _GUARD)
+    )
+    for k, pk in enumerate(p_grid):
+        rows = np.flatnonzero(unsure[:, k])
+        if rows.size:
+            witness[rows, k], lur[rows, k], npt[rows, k] = _block_flags(sigma[rows], pk)
+    return witness, lur, npt
 
 
 def _block_counts(task) -> np.ndarray:
@@ -110,19 +187,18 @@ def _block_counts(task) -> np.ndarray:
     the witness, lur and npt, then witness-not-lur, lur-not-npt and
     PPT-but-detected."""
     seed, d, p_grid, start, stop = task
-    sigma = _draw_block(seed, d, start, stop)
-    counts = np.empty((len(p_grid), 6), dtype=np.int64)
-    for k, p in enumerate(p_grid):
-        witness, lur, npt = _block_flags(sigma, p)
-        counts[k] = (
-            witness.sum(),
-            lur.sum(),
-            npt.sum(),
-            (witness & ~lur).sum(),
-            (lur & ~npt).sum(),
-            (~npt & (witness | lur)).sum(),
-        )
-    return counts
+    witness, lur, npt = _sweep_flags(_draw_block(seed, d, start, stop), p_grid)
+    return np.stack(
+        [
+            witness.sum(axis=0),
+            lur.sum(axis=0),
+            npt.sum(axis=0),
+            (witness & ~lur).sum(axis=0),
+            (lur & ~npt).sum(axis=0),
+            (~npt & (witness | lur)).sum(axis=0),
+        ],
+        axis=1,
+    )
 
 
 def evaluate_detection_flags(config: NoiseBallConfig, p: float, p_index: int):
@@ -167,11 +243,12 @@ def run_detection_sweep(
         for start in range(0, config.samples, _BLOCK)
     ]
 
+    # the pool forks all its workers up front; more than one per task is waste
+    workers = min(workers, len(tasks))
     if workers <= 1:
         results = map(_block_counts, tasks)
     else:
-        # the pool forks all its workers up front; more than one per task is waste
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_block_counts, tasks))
 
     counts = sum(results, np.zeros((len(p_grid), 6), dtype=np.int64))

@@ -169,7 +169,10 @@ class TestSweep:
 
         monkeypatch.setattr(experiments, "_draw_noise_matrix", give_up)
         out = tmp_path / "g.csv"
-        assert run_cli("sweep", "--d", "0.45", "--samples", "5", "--workers", "1", "--out", out) == 2
+        # an explicit seed, so that the environment cannot decide whether a
+        # first candidate is rejected and the patched fallback runs
+        argv = ("sweep", "--d", "0.45", "--samples", "5", "--workers", "1", "--seed", "1")
+        assert run_cli(*argv, "--out", out) == 2
         err = capsys.readouterr().err
         assert "d=0.45" in err and "Traceback" not in err
         assert not out.exists()
@@ -180,6 +183,12 @@ class TestSweep:
             n = len(sigma)
             return np.ones(n, dtype=bool), np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
 
+        def broken_sweep_flags(sigma, p_grid):
+            shape = (len(sigma), len(p_grid))
+            return np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+
+        # the sweep decides all of a block's grid at once; werner bisects per p
+        monkeypatch.setattr(experiments, "_sweep_flags", broken_sweep_flags)
         monkeypatch.setattr(experiments, "_block_flags", broken_flags)
         out = tmp_path / "h.csv"
         assert run_cli("sweep", "--samples", "5", "--p-grid", "0.5", "--workers", "1", "--out", out) == 5
@@ -278,6 +287,19 @@ class TestPinnedOutputs:
             (
                 ("geometry", "--format", "json", "--resolution", "13", "--q", "1", "--q", "200"),
                 "48d0b0e810fd8229ba28e0a8e6438519a6f70022142ee4e4379355851ca585db",
+            ),
+            (
+                # outside the separable ball: rejected first candidates are
+                # redrawn, and NPT noise sends pairs to the per-p kernel
+                ("sweep", "--d", "0.5", "--samples", "250", "--p-grid", "0,0.2,0.4,0.6,0.8,1")
+                + ("--workers", "1", "--seed", "3"),
+                "eca8fef75a96d884be164dc4ec265bfa02e4829771fe30c295674b0e9195254f",
+            ),
+            (
+                # just inside the separable ball, with 1/3 on the grid
+                ("sweep", "--d", "0.2886", "--samples", "500", "--p-grid", "0,0.1,0.3333333333333333,0.5,1")
+                + ("--workers", "2", "--seed", "11", "--format", "json"),
+                "f87c93edf43da55485de8bc2051fd4fdc874c17d36e5ed9315e8e6d548c8dd3b",
             ),
         ],
     )

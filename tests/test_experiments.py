@@ -6,7 +6,7 @@ import pytest
 
 from uwit import experiments
 from uwit.criteria import linear_witness_value, nonlinear_witness_value
-from uwit.errors import InvalidParameterError, InvalidWeightError
+from uwit.errors import InvalidParameterError, InvalidWeightError, RejectionOverflowError
 from uwit.experiments import (
     DETECTION_CSV_HEADER,
     GEOMETRY_CSV_HEADER,
@@ -98,16 +98,46 @@ class TestDetectionSweep:
             assert is_npt(rho)[0] == npt[i]
 
     def test_noise_drawn_once_per_sample(self, monkeypatch):
-        calls = []
+        keys = []
+        keyed = experiments.noise_rng
+
+        def counting_rng(seed, *stream):
+            keys.append((seed, *stream))
+            return keyed(seed, *stream)
+
+        monkeypatch.setattr(experiments, "noise_rng", counting_rng)
+        run_detection_sweep(SMALL, [0.0, 0.25, 0.5, 0.75, 1.0], workers=1)
+        assert len(keys) == SMALL.samples
+        assert sorted(keys) == [(SMALL.seed, i) for i in range(SMALL.samples)]
+
+    def test_only_rejected_first_candidates_redrawn(self, monkeypatch):
+        # outside the separable ball many first candidates fail the PSD check
+        config = NoiseBallConfig(d=0.5, seed=7, samples=60)
+        rejected = []
+        for i in range(config.samples):
+            try:
+                experiments._draw_noise_matrix(config.d, noise_rng(config.seed, i), max_attempts=1)
+            except RejectionOverflowError:
+                rejected.append(i)
+        assert 0 < len(rejected) < config.samples
+
+        redrawn = []
         draw = experiments._draw_noise_matrix
 
         def counting_draw(d, rng):
-            calls.append(d)
+            redrawn.append(d)
             return draw(d, rng)
 
         monkeypatch.setattr(experiments, "_draw_noise_matrix", counting_draw)
-        run_detection_sweep(SMALL, [0.0, 0.25, 0.5, 0.75, 1.0], workers=1)
-        assert len(calls) == SMALL.samples
+        monkeypatch.setattr(experiments, "_BLOCK", 16)
+        run_detection_sweep(config, [0.0, 0.5, 1.0], workers=1)
+        assert len(redrawn) == len(rejected)
+
+        # the batched first candidates and the redraws are the scalar sampler's bits
+        sigma = experiments._draw_block(config.seed, config.d, 0, config.samples)
+        for i in range(config.samples):
+            expected = sample_noise_ball(config.d, noise_rng(config.seed, i)).matrix
+            assert sigma[i].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_block_size_does_not_change_rows(self, monkeypatch, workers):
@@ -148,6 +178,16 @@ class TestDetectionSweep:
         monkeypatch.setattr(experiments, "_BLOCK", 7)
         assert run_detection_sweep(config, [0.3, 0.6], workers=64) == expected
         assert requested == [3]
+
+    def test_one_block_runs_in_process(self, monkeypatch):
+        # a pool of one would only add its start-up to a single block's work
+        def no_pool(max_workers):
+            raise AssertionError("a one-block sweep started a process pool")
+
+        config = NoiseBallConfig(d=0.2, seed=7, samples=20)
+        expected = run_detection_sweep(config, [0.3, 0.6], workers=1)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        assert run_detection_sweep(config, [0.3, 0.6], workers=64) == expected
 
     def test_rerun_is_identical(self):
         rows_a = run_detection_sweep(SMALL, [0.2, 0.6])

@@ -1,6 +1,6 @@
 """Property tests: every scalar criterion is its batch kernel applied to a
 batch of one, so scalar results equal the batch results over generated
-stacks of states."""
+stacks of states; the sweep's closed-form flags equal the per-p kernel's."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from uwit.criteria import (
+    DETECTION_TOL,
     _bell_tsallis_detects,
     _linear_witness_values,
     _nonlinear_witness_values,
@@ -18,8 +19,17 @@ from uwit.criteria import (
     linear_witness_value,
     nonlinear_witness_value,
 )
+from uwit.errors import NumericalDefectError
+from uwit.experiments import (
+    _block_flags,
+    _draw_block,
+    _sweep_flags,
+    evaluate_detection_flags,
+    run_detection_sweep,
+)
 from uwit.states import (
     DensityMatrix,
+    NoiseBallConfig,
     bell_diagonal_state,
     in_state_tetrahedron,
     random_density_matrix,
@@ -82,3 +92,83 @@ def test_bell_verdicts_equal_batched_decision(states):
         assert [bell_tsallis_criterion(s, q).detected for s in states] == expected
     expected = _bell_tsallis_detects(populations, 2.0).tolist()
     assert [bell_variance_criterion(s).detected for s in states] == expected
+
+
+# 0.2886 sits just inside the separable ball (radius 1/sqrt(12)); 0.5 draws
+# many NPT sigma, whose H(p) turns singular somewhere in [0, 1]
+NOISE_RADII = (0.0, 0.2, 0.2886, 0.5)
+SIGMA_FAMILIES = {
+    **{f"noise_ball_{d}": lambda seed, n, d=d: _draw_block(seed, d, 0, n) for d in NOISE_RADII},
+    "ginibre": lambda seed, n: np.array([s.matrix for s in _stack("ginibre", seed, n)]),
+    "separable": lambda seed, n: np.array([s.matrix for s in _stack("separable", seed, n)]),
+}
+
+
+def npt_weight(sigma) -> float:
+    """A singlet weight at which the per-p kernel's NPT flag on
+    p S + (1 - p) sigma switches on, by bisection on [0, 1]; 0 if the flag
+    is already set at p = 0."""
+    lo, hi = 0.0, 1.0
+    if _block_flags(sigma[None], lo)[2][0]:
+        return lo
+    for _ in range(64):  # down to adjacent floats
+        mid = 0.5 * (lo + hi)
+        if _block_flags(sigma[None], mid)[2][0]:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def threshold_weights(sigma) -> list[float]:
+    """Each sample's exact singlet weights where the linear and the
+    nonlinear witness values meet their threshold, and where the
+    partial-transpose test turns NPT, those in [0, 1]."""
+    linear = _linear_witness_values(sigma)
+    half_means_sq = linear - _nonlinear_witness_values(sigma, linear)
+    roots = [(linear + DETECTION_TOL) / (linear + 2.0), [npt_weight(s) for s in sigma]]
+    # nonlinear: -half_means_sq q^2 + (linear + 2) q + DETECTION_TOL - 2 = 0, q = 1 - p
+    for a, b in zip(half_means_sq, linear + 2.0):
+        roots.append(1.0 - np.roots([-a, b, DETECTION_TOL - 2.0]).real)
+    weights = np.concatenate(roots)
+    return [float(p) for p in weights if 0.0 <= p <= 1.0]
+
+
+def grid_for(sigma, extra) -> list[float]:
+    return [0.0, 1.0, 1.0 / 3.0, *threshold_weights(sigma), *extra]
+
+
+weights = st.lists(st.floats(0.0, 1.0), max_size=4)
+
+
+@BOUNDED
+@given(st.sampled_from(sorted(SIGMA_FAMILIES)), st.integers(0, 2**32 - 1), st.integers(1, 8), weights)
+def test_sweep_flags_equal_per_p_kernel(family, seed, n, extra):
+    sigma = SIGMA_FAMILIES[family](seed, n)
+    grid = grid_for(sigma, extra)
+    flags = _sweep_flags(sigma, grid)
+    for k, p in enumerate(grid):
+        for closed_form, kernel in zip(flags, _block_flags(sigma, p)):
+            assert closed_form[:, k].tolist() == kernel.tolist()
+
+
+@BOUNDED
+@given(st.sampled_from(NOISE_RADII), st.integers(-(2**40), 2**40), st.integers(1, 40), weights)
+def test_sweep_fractions_equal_flag_means(d, seed, samples, extra):
+    config = NoiseBallConfig(d=d, seed=seed, samples=samples)
+    grid = grid_for(_draw_block(seed, d, 0, samples), extra)
+    flags = [evaluate_detection_flags(config, p, k) for k, p in enumerate(grid)]
+    if any((w & ~l).any() or (l & ~n).any() or (~n & (w | l)).any() for w, l, n in flags):
+        # the per-p flags break the chain (e.g. the witness fires at
+        # p = (1 + DETECTION_TOL)/3 on white noise while the partial-transpose
+        # eigenvalue is still above NPT_THRESHOLD), so the sweep must refuse
+        with pytest.raises(NumericalDefectError):
+            run_detection_sweep(config, grid)
+        return
+    rows = run_detection_sweep(config, grid)
+    for row, (witness, lur, npt) in zip(rows, flags):
+        assert (row.fraction_witness, row.fraction_lur, row.fraction_npt) == (
+            witness.mean(),
+            lur.mean(),
+            npt.mean(),
+        )
