@@ -43,7 +43,7 @@ from .states import (
 )
 from .criteria import (
     _check_q,
-    _detects,
+    _witness_detects,
     bell_tsallis_criterion,
     bell_variance_criterion,
     linear_witness_value,
@@ -84,7 +84,7 @@ _EXIT_CODES = (
 
 def _linear_witness_verdicts(rho, q_values) -> list[CriterionVerdict]:
     value = linear_witness_value(rho)
-    return [CriterionVerdict(value, 0.0, _detects(value, 0.0), "linear_witness")]
+    return [CriterionVerdict(value, 0.0, _witness_detects(value), "linear_witness")]
 
 
 # criterion id -> verdicts for (state, q values). Each entry looks its

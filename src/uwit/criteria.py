@@ -31,7 +31,7 @@ from .linalg import (
     hermitian_eigen,
     kron,
 )
-from .states import _BELL_AMPLITUDES, DensityMatrix
+from .states import _BELL_AMPLITUDES, NPT_THRESHOLD, DensityMatrix
 
 DEGENERACY_TOL = 1e-8
 PROBABILITY_TOL = -1e-12
@@ -40,6 +40,10 @@ PROBABILITY_TOL = -1e-12
 # so a bare float comparison against the threshold would flag half of them
 # through roundoff; values this close to the threshold count as boundary.
 DETECTION_TOL = 1e-12
+
+# A PPT state (min eig(rho^T) = -e >= NPT_THRESHOLD) has both witness values
+# at or above -12 e - 16 e^2 (README), so neither fires where NPT does not.
+WITNESS_TOL = 16 * abs(NPT_THRESHOLD)
 
 # Every Bell state has both squared Schmidt coefficients equal to 1/2; this
 # is the constant feeding the Bell-population entropy bounds.
@@ -88,7 +92,7 @@ class Observable:
 class CriterionVerdict:
     """Outcome of a separability criterion: ``detected`` means the value fell
     strictly below the threshold, certifying entanglement. Values within
-    DETECTION_TOL of the threshold count as boundary, hence not detected."""
+    DETECTION_TOL (WITNESS_TOL for the witnesses) of it count as boundary."""
 
     value: float
     threshold: float
@@ -98,6 +102,11 @@ class CriterionVerdict:
 
 def _detects(value: float, threshold: float) -> bool:
     return value < threshold - DETECTION_TOL
+
+
+def _witness_detects(value):
+    """Whether witness values (a float or an array) are below 0 by more than WITNESS_TOL."""
+    return value < -WITNESS_TOL
 
 
 def _observable_matrix(m) -> np.ndarray:
@@ -170,7 +179,7 @@ def nonlinear_witness_value(rho: DensityMatrix) -> CriterionVerdict:
     one. Equals (summed collective-Pauli variances - 4)/2."""
     linear = linear_witness_value(rho)
     value = float(_nonlinear_witness_values(rho.matrix[None], linear)[0])
-    return CriterionVerdict(value, 0.0, _detects(value, 0.0), "nonlinear_witness")
+    return CriterionVerdict(value, 0.0, _witness_detects(value), "nonlinear_witness")
 
 
 def _clean_distribution(p) -> np.ndarray:

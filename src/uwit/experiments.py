@@ -16,25 +16,24 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidParameterError, NumericalDefectError
+from .linalg import partial_transpose
 from .states import (
     NPT_THRESHOLD,
-    PSD_TOL,
     NoiseBallConfig,
     _check_weight,
-    _draw_noise_matrix,
+    _draw_noise_block,
     _octahedron_mask,
     _tetrahedron_mask,
     bell_populations_from_coords,
-    noise_rng,
     singlet_projector,
 )
 from .criteria import (
-    DETECTION_TOL,
+    WITNESS_TOL,
     _bell_tsallis_detects,
     _check_q,
-    _detects,
     _linear_witness_values,
     _nonlinear_witness_values,
+    _witness_detects,
 )
 
 _BLOCK = 256
@@ -83,43 +82,6 @@ class WernerThresholds:
     npt: float
 
 
-def _draw_block(seed: int, d: float, start: int, stop: int) -> np.ndarray:
-    """Noise matrices sigma_i for sample indices [start, stop), each drawn from
-    its own stream keyed by (seed, i): the draws of _draw_noise_matrix, with
-    every sample's first candidate built and PSD-checked as one batch.
-
-    A sample whose first candidate is rejected is redrawn by
-    _draw_noise_matrix on a fresh stream with the same key, which replays
-    that candidate and goes on. Norms are taken per matrix and radii in
-    Python floats, as _draw_noise_matrix takes them, so the bits agree."""
-    n = stop - start
-    eye4 = np.eye(4, dtype=complex)
-    if d == 0.0:
-        return np.tile(eye4 / 4.0, (n, 1, 1))
-    normals = np.empty((n, 2, 4, 4))
-    radii = []
-    # one generator at a time: a block's worth of them would hold about 1 MB
-    for j, i in enumerate(range(start, stop)):
-        rng = noise_rng(seed, i)
-        normals[j] = rng.standard_normal((2, 4, 4))  # the stream of two (4, 4) draws
-        radii.append(d * rng.uniform() ** (1.0 / 15.0))
-    x = normals[:, 0] + 1j * normals[:, 1]
-    h = (x + x.conj().transpose(0, 2, 1)) / 2.0
-    g = h - (np.trace(h, axis1=1, axis2=2).real / 4.0)[:, None, None] * eye4
-    norms = [float(np.linalg.norm(m)) for m in g]
-    scale = [r / norm if norm >= 1e-12 else 0.0 for r, norm in zip(radii, norms)]
-    sigma = eye4 / 4.0 + np.array(scale)[:, None, None] * g
-    rejected = (np.linalg.eigvalsh(sigma)[:, 0] < PSD_TOL) | (np.array(norms) < 1e-12)
-    for j in np.flatnonzero(rejected):
-        sigma[j] = _draw_noise_matrix(d, noise_rng(seed, start + j))
-    return sigma
-
-
-def _partial_transposes(rho: np.ndarray) -> np.ndarray:
-    """Partial transposes (second qubit) of an (n, 4, 4) stack."""
-    return rho.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
-
-
 def _block_flags(sigma: np.ndarray, p: float):
     """Detection flags (witness, nonlinear, npt) of the noisy singlets
     p |psi-><psi-| + (1 - p) sigma_i for a stack of noise matrices sigma_i.
@@ -132,8 +94,8 @@ def _block_flags(sigma: np.ndarray, p: float):
     rho = p * _SINGLET[None, :, :] + (1.0 - p) * sigma
     linear = _linear_witness_values(rho)
     nonlinear = _nonlinear_witness_values(rho, linear)
-    min_pt_eig = np.linalg.eigvalsh(_partial_transposes(rho))[:, 0]
-    return _detects(linear, 0.0), _detects(nonlinear, 0.0), min_pt_eig < NPT_THRESHOLD
+    min_pt_eig = np.linalg.eigvalsh(partial_transpose(rho, (2, 2)))[:, 0]
+    return _witness_detects(linear), _witness_detects(nonlinear), min_pt_eig < NPT_THRESHOLD
 
 
 def _sweep_flags(sigma: np.ndarray, p_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -160,15 +122,15 @@ def _sweep_flags(sigma: np.ndarray, p_grid) -> tuple[np.ndarray, np.ndarray, np.
     linear = -2.0 * p + q * linear_sigma[:, None]
     nonlinear = linear - q**2 * half_means_sq[:, None]
 
-    s, u = np.linalg.eigh(_partial_transposes(sigma))
+    s, u = np.linalg.eigh(partial_transpose(sigma, (2, 2)))
     overlap = np.abs(u[:, 0, :] + u[:, 3, :]) ** 2 / 2.0  # |<u_i|phi+>|^2
     shift = p / 2.0 - NPT_THRESHOLD
     with np.errstate(divide="ignore", invalid="ignore"):
         f = p * sum(overlap[:, i, None] / (shift + q * s[:, i, None]) for i in range(4))
     h_min = shift + q * s[:, :1]  # eigh sorts s ascending and q >= 0
 
-    witness, lur, npt = _detects(linear, 0.0), _detects(nonlinear, 0.0), f > 1.0
-    threshold = -DETECTION_TOL
+    witness, lur, npt = _witness_detects(linear), _witness_detects(nonlinear), f > 1.0
+    threshold = -WITNESS_TOL
     unsure = (
         (np.abs(linear - threshold) < _GUARD)
         | (np.abs(nonlinear - threshold) < _GUARD)
@@ -187,7 +149,7 @@ def _block_counts(task) -> np.ndarray:
     the witness, lur and npt, then witness-not-lur, lur-not-npt and
     PPT-but-detected."""
     seed, d, p_grid, start, stop = task
-    witness, lur, npt = _sweep_flags(_draw_block(seed, d, start, stop), p_grid)
+    witness, lur, npt = _sweep_flags(_draw_noise_block(seed, d, start, stop), p_grid)
     return np.stack(
         [
             witness.sum(axis=0),
@@ -208,7 +170,7 @@ def evaluate_detection_flags(config: NoiseBallConfig, p: float, p_index: int):
     ``p_index`` does not select the noise: sample i uses the same sigma_i,
     keyed by (seed, i), at every grid point.
     """
-    return _block_flags(_draw_block(config.seed, config.d, 0, config.samples), p)
+    return _block_flags(_draw_noise_block(config.seed, config.d, 0, config.samples), p)
 
 
 def default_p_grid() -> list[float]:

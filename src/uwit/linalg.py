@@ -57,20 +57,17 @@ def hs_norm(a) -> float:
 
 
 def partial_transpose(m, dims: tuple[int, int]) -> np.ndarray:
-    """Transpose the second tensor factor of a bipartite operator.
+    """Transpose the second tensor factor of a bipartite operator, or of each
+    operator in a (..., n, n) stack.
 
     ``dims = (dA, dB)`` fixes the product-basis split; the entry at
     ((i,k),(j,l)) moves to ((i,l),(j,k)).
     """
-    a = _as_square(m)
+    a = np.asarray(m, dtype=complex)
     da, db = dims
-    if da * db != a.shape[0]:
-        raise DimensionMismatchError(
-            f"dims {dims} do not factor matrix dimension {a.shape[0]}"
-        )
-    return (
-        a.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(a.shape[0], a.shape[0])
-    )
+    if a.shape[-2:] != (da * db, da * db):
+        raise DimensionMismatchError(f"dims {dims} do not factor matrices of shape {a.shape}")
+    return a.reshape(*a.shape[:-2], da, db, da, db).swapaxes(-3, -1).reshape(a.shape)
 
 
 def expectation(rho, m) -> float:

@@ -205,28 +205,38 @@ def werner_state(p: float) -> DensityMatrix:
     return noisy_singlet(p, maximally_mixed())
 
 
-def _draw_noise_matrix(d: float, rng: np.random.Generator, max_attempts: int = 10**6) -> np.ndarray:
-    """One 4x4 noise matrix from the radius-``d`` Hilbert-Schmidt ball around I/4.
+_NOISE_ROUND = 16  # candidates per round after a rejected first candidate
 
-    The deviation is drawn uniformly from the ball of traceless Hermitian
-    matrices (isotropic Gaussian direction, radius d * u^(1/15)); draws whose
-    minimum eigenvalue falls below the PSD tolerance are rejected.
-    """
+
+def _noise_candidates(d: float, normals: np.ndarray, uniforms: np.ndarray):
+    """Noise candidates from (n, 2, 4, 4) normals and n uniforms, and which are
+    accepted: I/4 plus the traceless Hermitian part G of normals[:, 0] + i
+    normals[:, 1] at radius d * u^(1/15), kept if PSD and G != 0. Norms are per
+    matrix and radii Python floats, so a candidate's bits ignore its batch."""
     eye4 = np.eye(4, dtype=complex)
-    if d == 0.0:
-        return eye4 / 4.0
-    for _ in range(max_attempts):
-        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = (x + x.conj().T) / 2.0
-        g = h - (np.trace(h).real / 4.0) * eye4
-        norm = float(np.linalg.norm(g))
-        u = rng.uniform()
-        if norm < 1e-12:
-            continue
-        r = d * u ** (1.0 / 15.0)
-        sigma = eye4 / 4.0 + (r / norm) * g
-        if float(np.linalg.eigvalsh(sigma)[0]) >= PSD_TOL:
-            return sigma
+    x = normals[:, 0] + 1j * normals[:, 1]
+    h = (x + x.conj().transpose(0, 2, 1)) / 2.0
+    g = h - (np.trace(h, axis1=1, axis2=2).real / 4.0)[:, None, None] * eye4
+    norms = [float(np.linalg.norm(m)) for m in g]
+    radii = [d * u ** (1.0 / 15.0) for u in uniforms.tolist()]
+    scale = [r / norm if norm >= 1e-12 else 0.0 for r, norm in zip(radii, norms)]
+    sigma = eye4 / 4.0 + np.array(scale)[:, None, None] * g
+    accepted = (np.linalg.eigvalsh(sigma)[:, 0] >= PSD_TOL) & (np.array(norms) >= 1e-12)
+    return sigma, accepted
+
+
+def _draw_noise_matrix(d: float, rng: np.random.Generator, max_attempts: int = 10**6) -> np.ndarray:
+    """One 4x4 noise matrix from the radius-``d`` Hilbert-Schmidt ball around
+    I/4: the first accepted of _noise_candidates drawn from ``rng``, first
+    alone, then _NOISE_ROUND per round (normals, then uniforms). The last
+    round is cut so that at most ``max_attempts`` candidates are drawn."""
+    drawn = 0
+    while drawn < max_attempts:
+        n = min(_NOISE_ROUND if drawn else 1, max_attempts - drawn)
+        sigma, accepted = _noise_candidates(d, rng.standard_normal((n, 2, 4, 4)), rng.uniform(size=n))
+        drawn += n
+        if accepted.any():
+            return sigma[np.argmax(accepted)]
     raise RejectionOverflowError(
         f"no positive-semidefinite draw in {max_attempts} attempts (d={d} too large)"
     )
@@ -242,6 +252,27 @@ def noise_rng(seed: int, *stream: int) -> np.random.Generator:
     for distinct tuples, identical across worker layouts."""
     key = [seed & _SEED_MASK] + [int(s) & _SEED_MASK for s in stream]
     return np.random.default_rng(np.random.SeedSequence(key))
+
+
+def _draw_noise_block(seed: int, d: float, start: int, stop: int) -> np.ndarray:
+    """Noise matrices sigma_i = sample_noise_ball(d, noise_rng(seed, i)).matrix
+    for i in [start, stop), with all first candidates built as one batch. A
+    sample whose first candidate is rejected is redrawn by _draw_noise_matrix
+    on a fresh stream with the same key, which replays that candidate."""
+    n = stop - start
+    if d == 0.0:
+        return np.tile(np.eye(4, dtype=complex) / 4.0, (n, 1, 1))
+    normals = np.empty((n, 2, 4, 4))
+    uniforms = np.empty(n)
+    # one generator at a time: a block's worth of them would hold about 1 MB
+    for j, i in enumerate(range(start, stop)):
+        rng = noise_rng(seed, i)
+        normals[j] = rng.standard_normal((2, 4, 4))
+        uniforms[j] = rng.uniform()
+    sigma, accepted = _noise_candidates(d, normals, uniforms)
+    for j in np.flatnonzero(~accepted):
+        sigma[j] = _draw_noise_matrix(d, noise_rng(seed, start + j))
+    return sigma
 
 
 def is_npt(rho: DensityMatrix) -> tuple[bool, float]:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uwit import cli, experiments
+from uwit import cli, experiments, states
 from uwit.cli import main
 from uwit.errors import (
     ConvergenceError,
@@ -167,7 +167,7 @@ class TestSweep:
         def give_up(d, rng):
             raise RejectionOverflowError(f"no positive-semidefinite draw (d={d} too large)")
 
-        monkeypatch.setattr(experiments, "_draw_noise_matrix", give_up)
+        monkeypatch.setattr(states, "_draw_noise_matrix", give_up)
         out = tmp_path / "g.csv"
         # an explicit seed, so that the environment cannot decide whether a
         # first candidate is rejected and the patched fallback runs
@@ -197,6 +197,15 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.count("error: ") == 2 and "Traceback" not in err
         assert not out.exists()
+
+    def test_ppt_white_noise_above_one_third_exits_0(self, tmp_path):
+        # at p = 0.333333334 the witness values are -2e-9 while the partial
+        # transpose's least eigenvalue, -5e-10, is above NPT_THRESHOLD: the
+        # state is PPT, so neither witness may fire
+        out = tmp_path / "w.csv"
+        argv = ("sweep", "--d", "0", "--samples", "3", "--p-grid", "0.333333334", "--workers", "1")
+        assert run_cli(*argv, "--seed", "42", "--out", out) == 0
+        assert out.read_text().splitlines()[1] == "0.333333334,0,0,0,3,42"
 
 
 class TestGeometry:
@@ -250,7 +259,7 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize(
         "argv, digest",
         [
-            (("werner",), "ea06ab047a8b7c13896c16bfe63c9c28ff7b7ce4263846ba9b893e87c1c0e621"),
+            (("werner",), "e8fbe4b57eec2016fc45d914fe82e0a7a6ea5f630111ef0228de6a249902733e"),
             (
                 ("sweep", "--d", "0.2", "--samples", "200", "--seed", "7", "--workers", "1"),
                 "d939f2fea3397b1c37512a9f76d5fbadf735e0fd1c10e6c52fddc9b584291a29",
@@ -293,7 +302,7 @@ class TestPinnedOutputs:
                 # redrawn, and NPT noise sends pairs to the per-p kernel
                 ("sweep", "--d", "0.5", "--samples", "250", "--p-grid", "0,0.2,0.4,0.6,0.8,1")
                 + ("--workers", "1", "--seed", "3"),
-                "eca8fef75a96d884be164dc4ec265bfa02e4829771fe30c295674b0e9195254f",
+                "0824d8d52c029f738423529e18b099bec6a15e963ebda83159c5f262b09952b0",
             ),
             (
                 # just inside the separable ball, with 1/3 on the grid

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from uwit import experiments
+from uwit import experiments, states
 from uwit.criteria import linear_witness_value, nonlinear_witness_value
 from uwit.errors import InvalidParameterError, InvalidWeightError, RejectionOverflowError
 from uwit.experiments import (
@@ -99,13 +99,13 @@ class TestDetectionSweep:
 
     def test_noise_drawn_once_per_sample(self, monkeypatch):
         keys = []
-        keyed = experiments.noise_rng
+        keyed = states.noise_rng
 
         def counting_rng(seed, *stream):
             keys.append((seed, *stream))
             return keyed(seed, *stream)
 
-        monkeypatch.setattr(experiments, "noise_rng", counting_rng)
+        monkeypatch.setattr(states, "noise_rng", counting_rng)
         run_detection_sweep(SMALL, [0.0, 0.25, 0.5, 0.75, 1.0], workers=1)
         assert len(keys) == SMALL.samples
         assert sorted(keys) == [(SMALL.seed, i) for i in range(SMALL.samples)]
@@ -116,25 +116,25 @@ class TestDetectionSweep:
         rejected = []
         for i in range(config.samples):
             try:
-                experiments._draw_noise_matrix(config.d, noise_rng(config.seed, i), max_attempts=1)
+                states._draw_noise_matrix(config.d, noise_rng(config.seed, i), max_attempts=1)
             except RejectionOverflowError:
                 rejected.append(i)
         assert 0 < len(rejected) < config.samples
 
         redrawn = []
-        draw = experiments._draw_noise_matrix
+        draw = states._draw_noise_matrix
 
         def counting_draw(d, rng):
             redrawn.append(d)
             return draw(d, rng)
 
-        monkeypatch.setattr(experiments, "_draw_noise_matrix", counting_draw)
+        monkeypatch.setattr(states, "_draw_noise_matrix", counting_draw)
         monkeypatch.setattr(experiments, "_BLOCK", 16)
         run_detection_sweep(config, [0.0, 0.5, 1.0], workers=1)
         assert len(redrawn) == len(rejected)
 
         # the batched first candidates and the redraws are the scalar sampler's bits
-        sigma = experiments._draw_block(config.seed, config.d, 0, config.samples)
+        sigma = states._draw_noise_block(config.seed, config.d, 0, config.samples)
         for i in range(config.samples):
             expected = sample_noise_ball(config.d, noise_rng(config.seed, i)).matrix
             assert sigma[i].tobytes() == expected.tobytes()

@@ -1,6 +1,8 @@
 """Property tests: every scalar criterion is its batch kernel applied to a
 batch of one, so scalar results equal the batch results over generated
-stacks of states; the sweep's closed-form flags equal the per-p kernel's."""
+stacks of states; the sweep's closed-form flags equal the per-p kernel's;
+the batched noise draws equal the scalar sampler's; and neither witness
+fires on a PPT state."""
 
 import numpy as np
 import pytest
@@ -9,10 +11,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from uwit.criteria import (
-    DETECTION_TOL,
+    WITNESS_TOL,
     _bell_tsallis_detects,
     _linear_witness_values,
     _nonlinear_witness_values,
+    _witness_detects,
     bell_populations,
     bell_tsallis_criterion,
     bell_variance_criterion,
@@ -22,18 +25,26 @@ from uwit.criteria import (
 from uwit.errors import NumericalDefectError
 from uwit.experiments import (
     _block_flags,
-    _draw_block,
     _sweep_flags,
     evaluate_detection_flags,
     run_detection_sweep,
 )
+from uwit.linalg import partial_transpose
 from uwit.states import (
+    NPT_THRESHOLD,
+    PSD_TOL,
     DensityMatrix,
     NoiseBallConfig,
+    _draw_noise_block,
+    _noise_candidates,
     bell_diagonal_state,
+    bell_states,
     in_state_tetrahedron,
+    noise_rng,
     random_density_matrix,
     random_separable_state,
+    sample_noise_ball,
+    singlet_projector,
 )
 
 BOUNDED = settings(derandomize=True, max_examples=30, deadline=None)
@@ -98,7 +109,7 @@ def test_bell_verdicts_equal_batched_decision(states):
 # many NPT sigma, whose H(p) turns singular somewhere in [0, 1]
 NOISE_RADII = (0.0, 0.2, 0.2886, 0.5)
 SIGMA_FAMILIES = {
-    **{f"noise_ball_{d}": lambda seed, n, d=d: _draw_block(seed, d, 0, n) for d in NOISE_RADII},
+    **{f"noise_ball_{d}": lambda seed, n, d=d: _draw_noise_block(seed, d, 0, n) for d in NOISE_RADII},
     "ginibre": lambda seed, n: np.array([s.matrix for s in _stack("ginibre", seed, n)]),
     "separable": lambda seed, n: np.array([s.matrix for s in _stack("separable", seed, n)]),
 }
@@ -126,10 +137,10 @@ def threshold_weights(sigma) -> list[float]:
     partial-transpose test turns NPT, those in [0, 1]."""
     linear = _linear_witness_values(sigma)
     half_means_sq = linear - _nonlinear_witness_values(sigma, linear)
-    roots = [(linear + DETECTION_TOL) / (linear + 2.0), [npt_weight(s) for s in sigma]]
-    # nonlinear: -half_means_sq q^2 + (linear + 2) q + DETECTION_TOL - 2 = 0, q = 1 - p
+    roots = [(linear + WITNESS_TOL) / (linear + 2.0), [npt_weight(s) for s in sigma]]
+    # nonlinear: -half_means_sq q^2 + (linear + 2) q + WITNESS_TOL - 2 = 0, q = 1 - p
     for a, b in zip(half_means_sq, linear + 2.0):
-        roots.append(1.0 - np.roots([-a, b, DETECTION_TOL - 2.0]).real)
+        roots.append(1.0 - np.roots([-a, b, WITNESS_TOL - 2.0]).real)
     weights = np.concatenate(roots)
     return [float(p) for p in weights if 0.0 <= p <= 1.0]
 
@@ -156,12 +167,17 @@ def test_sweep_flags_equal_per_p_kernel(family, seed, n, extra):
 @given(st.sampled_from(NOISE_RADII), st.integers(-(2**40), 2**40), st.integers(1, 40), weights)
 def test_sweep_fractions_equal_flag_means(d, seed, samples, extra):
     config = NoiseBallConfig(d=d, seed=seed, samples=samples)
-    grid = grid_for(_draw_block(seed, d, 0, samples), extra)
-    flags = [evaluate_detection_flags(config, p, k) for k, p in enumerate(grid)]
+    sigma = _draw_noise_block(seed, d, 0, samples)
+    grid = grid_for(sigma, extra)
+    # evaluate_detection_flags is the per-p kernel on this sigma, so sigma
+    # is drawn once and each grid point is decided by _block_flags
+    for flag, kernel in zip(evaluate_detection_flags(config, grid[0], 0), _block_flags(sigma, grid[0])):
+        assert flag.tolist() == kernel.tolist()
+    flags = [_block_flags(sigma, p) for p in grid]
     if any((w & ~l).any() or (l & ~n).any() or (~n & (w | l)).any() for w, l, n in flags):
-        # the per-p flags break the chain (e.g. the witness fires at
-        # p = (1 + DETECTION_TOL)/3 on white noise while the partial-transpose
-        # eigenvalue is still above NPT_THRESHOLD), so the sweep must refuse
+        # the per-p flags break the chain (for example the witness firing
+        # while the partial-transpose eigenvalue is still above
+        # NPT_THRESHOLD), so the sweep must refuse
         with pytest.raises(NumericalDefectError):
             run_detection_sweep(config, grid)
         return
@@ -172,3 +188,59 @@ def test_sweep_fractions_equal_flag_means(d, seed, samples, extra):
             lur.mean(),
             npt.mean(),
         )
+
+
+# negative seeds, and keys of two or more 32-bit words
+seeds = st.one_of(st.integers(-(2**40), 2**40), st.integers(2**40, 2**64 - 1))
+
+
+@BOUNDED
+@given(seeds, st.integers(0, 2**40), st.sampled_from((0.0, 0.2, 0.2886, 0.5, 0.6)))
+def test_block_draw_is_scalar_sampler_draw(seed, i, d):
+    sigma = _draw_noise_block(seed, d, i, i + 1)[0]
+    assert sigma.tobytes() == sample_noise_ball(d, noise_rng(seed, i)).matrix.tobytes()
+    assert np.linalg.norm(sigma - np.eye(4) / 4.0) <= d + 1e-12
+    assert np.linalg.eigvalsh(sigma)[0] >= PSD_TOL
+    if d <= 0.2886:
+        # inside the separable ball (radius 1/sqrt(12)) no candidate is rejected
+        rng = noise_rng(seed, i)
+        first, accepted = _noise_candidates(d, rng.standard_normal((1, 2, 4, 4)), rng.uniform(size=1))
+        assert accepted[0] and sigma.tobytes() == first[0].tobytes()
+
+
+def mixed_to_ppt_edge(seed, rank, weight, bell_diagonal, target) -> np.ndarray:
+    """A random rank-``rank`` state given singlet weight ``weight``, optionally
+    dephased to its Bell-diagonal part, then mixed with I/4 until the least
+    eigenvalue of its partial transpose is ``target`` (kept as is if already
+    above). On singlet-dominated Bell-diagonal states both witness values
+    equal 4 min eig(rho^T), the edge of the bounds behind WITNESS_TOL."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    rho = weight * singlet_projector() + (1.0 - weight) * g @ g.conj().T / np.linalg.norm(g) ** 2
+    if bell_diagonal:
+        bell = [np.outer(b.amplitudes, b.amplitudes.conj()) for b in bell_states()]
+        rho = sum(np.trace(rho @ b).real * b for b in bell)
+    least = np.linalg.eigvalsh(partial_transpose(rho, (2, 2)))[0]
+    t = max((target - least) / (0.25 - least), 0.0)
+    return (1.0 - t) * rho + t * np.eye(4) / 4.0
+
+
+@BOUNDED
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+    st.floats(NPT_THRESHOLD, 0.0),
+)
+def test_witnesses_silent_on_ppt_states(seed, rank, weight, bell_diagonal, target):
+    rho = mixed_to_ppt_edge(seed, rank, weight, bell_diagonal, target)
+    epsilon = max(-np.linalg.eigvalsh(partial_transpose(rho, (2, 2)))[0], 0.0)
+    state = DensityMatrix(rho, (2, 2))
+    assert not _witness_detects(linear_witness_value(state))
+    nonlinear = nonlinear_witness_value(state)
+    assert not nonlinear.detected
+    witness, lur, _ = _block_flags(rho[None], 0.0)
+    assert not witness[0] and not lur[0]
+    # the bound that WITNESS_TOL rests on, up to roundoff in the values
+    assert nonlinear.value >= -12.0 * epsilon - 16.0 * epsilon**2 - 1e-14

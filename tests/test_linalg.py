@@ -129,6 +129,16 @@ class TestPartialTranspose:
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         assert np.array_equal(partial_transpose(m, dims), partial_transpose_loops(m, *dims))
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_stack_matches_loop_reference_slice_by_slice(self, dims):
+        rng = np.random.default_rng(dims[1])
+        n = dims[0] * dims[1]
+        stack = rng.standard_normal((3, 2, n, n)) + 1j * rng.standard_normal((3, 2, n, n))
+        pt = partial_transpose(stack, dims)
+        assert pt.shape == stack.shape
+        for index in np.ndindex(stack.shape[:-2]):
+            assert np.array_equal(pt[index], partial_transpose_loops(stack[index], *dims))
+
     def test_preserves_trace_and_hermiticity_exactly(self):
         rng = np.random.default_rng(13)
         h = random_hermitian(rng, 4)
@@ -139,6 +149,8 @@ class TestPartialTranspose:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             partial_transpose(np.eye(4, dtype=complex), (2, 3))
+        with pytest.raises(DimensionMismatchError):
+            partial_transpose(np.zeros((3, 4, 2), dtype=complex), (2, 2))
 
 
 class TestExpectation:
