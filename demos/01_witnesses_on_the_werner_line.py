@@ -5,7 +5,7 @@ Witnesses on the Werner line
 The white-noise singlet family p |psi-><psi-| + (1-p) I/4 is the simplest
 testbed for the detection machinery: the linear correlation witness, its
 nonlinear refinement, and the exact partial-transpose criterion all flip
-from "separable" to "entangled" at exactly p = 1/3.
+from "separable" to "entangled" at p = 1/3, up to their detection tolerances.
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ from uwit import (
     werner_state,
     werner_thresholds,
 )
+from uwit.criteria import WITNESS_TOL
 
 # Step 1 -- scan the line ----------------------------------------------------
 print(f"{'p':>5} {'linear':>9} {'nonlinear':>10} {'lur sum':>8} {'min PT eig':>11}  verdicts")
@@ -29,7 +30,7 @@ for p in np.linspace(0.0, 1.0, 11):
     npt, min_eig = is_npt(rho)
     tags = "".join(
         tag if flag else "-"
-        for tag, flag in (("W", linear < 0), ("N", nonlinear.detected), ("P", npt))
+        for tag, flag in (("W", linear < -WITNESS_TOL), ("N", nonlinear.detected), ("P", npt))
     )
     print(f"{p:5.2f} {linear:9.4f} {nonlinear.value:10.4f} {lur.value:8.4f} {min_eig:11.4f}  {tags}")
 
@@ -37,9 +38,12 @@ for p in np.linspace(0.0, 1.0, 11):
 # zero), so the nonlinear witness coincides with the linear one and neither
 # can beat the partial transpose -- all three flip at the same point.
 
-# Step 2 -- locate the flip points by bisection ------------------------------
+# Step 2 -- the flip points ---------------------------------------------------
+# Both witness values are 1 - 3p and the least partial-transpose eigenvalue is
+# (1 - 3p)/4, so each criterion flips where its value crosses its tolerance:
+# just above 1/3. werner_thresholds checks the sweep's flags on both sides.
 thresholds = werner_thresholds()
 print(
-    f"\nbisection thresholds: witness={thresholds.witness:.8f} "
-    f"lur={thresholds.lur:.8f} npt={thresholds.npt:.8f} (analytic: 1/3)"
+    f"\nthresholds: witness={thresholds.witness:.10f} "
+    f"lur={thresholds.lur:.10f} npt={thresholds.npt:.10f} (1/3 = {1 / 3:.10f})"
 )

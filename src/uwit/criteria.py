@@ -92,7 +92,8 @@ class Observable:
 class CriterionVerdict:
     """Outcome of a separability criterion: ``detected`` means the value fell
     strictly below the threshold, certifying entanglement. Values within
-    DETECTION_TOL (WITNESS_TOL for the witnesses) of it count as boundary."""
+    DETECTION_TOL of it (WITNESS_TOL for the witnesses, twice that for
+    pauli_lur) count as boundary."""
 
     value: float
     threshold: float
@@ -140,8 +141,10 @@ def collective_paulis() -> tuple[Observable, Observable, Observable]:
 
 def pauli_lur(rho: DensityMatrix) -> CriterionVerdict:
     """Collective-Pauli uncertainty test: separable two-qubit states keep the
-    summed variances of sigma_i x I + I x sigma_i at or above 4."""
-    return lur_value(rho, collective_paulis(), 4.0, criterion_id="pauli_lur")
+    summed variances of sigma_i x I + I x sigma_i at or above 4. The sum is
+    4 + 2N for the nonlinear witness value N, so N's rule decides it."""
+    value = lur_value(rho, collective_paulis(), 4.0).value
+    return CriterionVerdict(value, 4.0, _witness_detects((value - 4.0) / 2.0), "pauli_lur")
 
 
 @lru_cache(maxsize=1)
@@ -212,23 +215,25 @@ def measurement_distribution(rho: DensityMatrix, m: Observable) -> np.ndarray:
     return np.clip([expectation(rho.matrix, projector) for _, projector in m.spectral], 0.0, None)
 
 
-def _entropy(probs: np.ndarray, q: float) -> float:
-    """Tsallis entropy of a nonnegative distribution, Shannon at q = 1."""
+def _entropy(probs: np.ndarray, q: float):
+    """Tsallis entropy of nonnegative distributions over the last axis,
+    Shannon at q = 1 (with 0 ln 0 = 0)."""
     if q == 1.0:
-        nonzero = probs[probs > 0.0]
-        return float(-np.sum(nonzero * np.log(nonzero)))
-    return float((1.0 - np.sum(probs**q)) / (q - 1.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(probs > 0.0, probs * np.log(probs), 0.0)
+        return -terms.sum(axis=-1)
+    return (1.0 - np.sum(probs**q, axis=-1)) / (q - 1.0)
 
 
 def shannon_entropy(p) -> float:
     """Shannon entropy -sum p ln p in nats, with 0 ln 0 = 0."""
-    return _entropy(_clean_distribution(p), 1.0)
+    return float(_entropy(_clean_distribution(p), 1.0))
 
 
 def tsallis_entropy(p, q: float) -> float:
     """Tsallis entropy (1 - sum p^q)/(q - 1); q = 1 falls back to Shannon."""
     _check_q(q)
-    return _entropy(_clean_distribution(p), q)
+    return float(_entropy(_clean_distribution(p), q))
 
 
 def maassen_bound(m: Observable, n: Observable) -> float:
@@ -261,9 +266,7 @@ def entropic_sum_criterion(rho: DensityMatrix, m1: Observable, m2: Observable, c
     for name, obs in (("m1", m1), ("m2", m2)):
         if min(abs(val) for val, _ in obs.spectral) <= DEGENERACY_TOL:
             raise InvalidParameterError(f"observable {name} has an eigenvalue at zero")
-    value = _entropy(measurement_distribution(rho, m1), 1.0) + _entropy(
-        measurement_distribution(rho, m2), 1.0
-    )
+    value = float(sum(_entropy(measurement_distribution(rho, m), 1.0) for m in (m1, m2)))
     return CriterionVerdict(value, c, _detects(value, c), "entropic_sum")
 
 
@@ -301,9 +304,7 @@ def _bell_tsallis_detects(populations: np.ndarray, q: float):
     cancellation at large q; the guard is relative because legitimate
     detections reach absolute scales of 2^(1-q)."""
     if q == 1.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(populations > 0.0, populations * np.log(populations), 0.0)
-        return _detects(-terms.sum(axis=-1), schmidt_entropy_bound(BELL_SCHMIDT_SQ, 1.0))
+        return _detects(_entropy(populations, 1.0), schmidt_entropy_bound(BELL_SCHMIDT_SQ, 1.0))
     power_sum = np.sum(populations**q, axis=-1)
     reference = 2.0 ** (1.0 - q)
     if q > 1.0:
@@ -325,6 +326,6 @@ def bell_tsallis_criterion(rho: DensityMatrix, q: float) -> CriterionVerdict:
     Bell-variance test at q = 2."""
     threshold = schmidt_entropy_bound(BELL_SCHMIDT_SQ, q)  # checks q
     populations = bell_populations(rho)
-    value = _entropy(populations, q)
+    value = float(_entropy(populations, q))
     detected = bool(_bell_tsallis_detects(populations, q))
     return CriterionVerdict(value, threshold, detected, f"bell_tsallis_q{q:g}")

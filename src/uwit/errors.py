@@ -38,7 +38,7 @@ class RejectionOverflowError(UwitError, RuntimeError):
 
 
 class NumericalDefectError(UwitError, RuntimeError):
-    """A result broke an invariant of exact arithmetic (inclusion chain, bracket)."""
+    """A result broke an invariant of exact arithmetic (inclusion chain, Werner threshold)."""
 
 
 class StateFormatError(UwitError, ValueError):

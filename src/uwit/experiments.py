@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
-from itertools import chain, product
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +75,7 @@ class GeometryScan:
 
 @dataclass(frozen=True)
 class WernerThresholds:
-    """Smallest detected singlet weight on the white-noise line, per criterion."""
+    """Singlet weight on the white-noise line above which each criterion detects."""
 
     witness: float
     lur: float
@@ -87,9 +87,8 @@ def _block_flags(sigma: np.ndarray, p: float):
     p |psi-><psi-| + (1 - p) sigma_i for a stack of noise matrices sigma_i.
 
     The witnesses use the batch kernels of the scalar criteria. This is the
-    per-p reference: _sweep_flags falls back on it near a threshold,
-    evaluate_detection_flags calls it on a sweep's sigma, and
-    werner_thresholds on sigma = I/4.
+    per-p reference: _sweep_flags falls back on it near a threshold, and
+    evaluate_detection_flags calls it on a sweep's sigma.
     """
     rho = p * _SINGLET[None, :, :] + (1.0 - p) * sigma
     linear = _linear_witness_values(rho)
@@ -275,27 +274,20 @@ def run_geometry_scan(resolution: int = 101, q_values=(2.0, 4.0, 15.0)) -> Geome
     )
 
 
-def _bisect_threshold(detects, tol: float = 1e-8) -> float:
-    lo, hi = 0.0, 1.0
-    if detects(lo) or not detects(hi):
-        raise NumericalDefectError("detection is not bracketed on [0, 1]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if detects(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def werner_thresholds() -> WernerThresholds:
-    """Smallest singlet weight detected on the white-noise line, per
-    criterion: the sweep's flags at d = 0 (_block_flags on sigma = I/4),
-    each located by bisection to 1e-8."""
-    white = np.eye(4, dtype=complex)[None] / 4.0
-    return WernerThresholds(
-        *(_bisect_threshold(lambda p, k=k: bool(_block_flags(white, p)[k][0])) for k in range(3))
-    )
+    """Singlet weight on the white-noise line above which each criterion
+    detects. On p |psi-><psi-| + (1 - p) I/4 both witness values are
+    1 - 3p and lambda_min(rho^T) is (1 - 3p)/4, so each weight has a closed
+    form. Raises NumericalDefectError unless the sweep's d = 0 flags are off
+    at each weight times 1 - 1e-9 and on at 1 + 1e-9, points that lie close
+    enough to the threshold for the per-p kernel to decide them."""
+    witness, npt = (1.0 + WITNESS_TOL) / 3.0, (1.0 - 4.0 * NPT_THRESHOLD) / 3.0
+    grid = [w * (1.0 + s) for w in (witness, npt) for s in (-1e-9, 1e-9)]
+    flags = _sweep_flags(np.eye(4, dtype=complex)[None] / 4.0, grid)
+    # grid columns 0, 1 straddle the witness weight and 2, 3 the npt weight
+    if any(f[0, k] or not f[0, k + 1] for f, k in zip(flags, (0, 0, 2))):
+        raise NumericalDefectError(f"the d = 0 sweep flags do not switch at {witness!r} and {npt!r}")
+    return WernerThresholds(witness, witness, npt)
 
 
 def _fmt(v) -> str:
@@ -311,29 +303,6 @@ def _detection_rows(rows):
     """Each sweep row's values in DETECTION_CSV_HEADER order, which is the
     field order of DetectionRow."""
     return map(astuple, rows)
-
-
-def _geometry_rows(scan: GeometryScan, number):
-    """Each row's values in GEOMETRY_CSV_HEADER order, one row per cell per
-    q, with the coordinates and q rendered by ``number``. Cells run over x,
-    then y, then z; the flags become Python bools one x-slab at a time, so a
-    fine scan is never held as lists."""
-    slab = scan.resolution**2
-    axis = [number(v) for v in scan.x[::slab]]
-    q_values = [number(q) for q in scan.q_values]
-    columns = (
-        scan.is_state,
-        scan.in_octahedron,
-        scan.sphere_detected,
-        *(scan.tsallis_detected[q] for q in scan.q_values),
-    )
-    flags = chain.from_iterable(
-        zip(*(column[start : start + slab].tolist() for column in columns))
-        for start in range(0, len(scan), slab)
-    )
-    for (x, y, z), (state, octahedron, sphere, *tsallis) in zip(product(axis, repeat=3), flags):
-        for q, detected in zip(q_values, tsallis):
-            yield x, y, z, state, octahedron, sphere, q, detected
 
 
 def _geometry_slabs(scan: GeometryScan, number, words, field, sep, ends):
@@ -400,9 +369,16 @@ def detection_rows_to_dicts(rows) -> list[dict]:
 
 
 def geometry_scan_to_dicts(scan: GeometryScan):
-    """One dict per cell per q, keyed by the CSV columns, in CSV row order."""
+    """One dict per cell per q, keyed by the CSV columns, in CSV row order:
+    cell by cell as the scan's arrays hold them, then q by q. Values are
+    converted one at a time, so a fine scan is never held as lists."""
     columns = GEOMETRY_CSV_HEADER.split(",")
-    return (dict(zip(columns, row)) for row in _geometry_rows(scan, float))
+    coords = (map(float, axis) for axis in (scan.x, scan.y, scan.z))
+    flags = (map(bool, flag) for flag in (scan.is_state, scan.in_octahedron, scan.sphere_detected))
+    tsallis = zip(*(map(bool, scan.tsallis_detected[q]) for q in scan.q_values))
+    for cell, detected in zip(zip(*coords, *flags), tsallis):
+        for q, flag in zip(scan.q_values, detected):
+            yield dict(zip(columns, (*cell, q, flag)))
 
 
 def write_detection_json(rows, path) -> None:

@@ -17,7 +17,8 @@ from uwit.errors import (
     RejectionOverflowError,
     StateInvariantError,
 )
-from uwit.states import DensityMatrix, bell_states, maximally_mixed, save_state
+from uwit.criteria import DETECTION_TOL, WITNESS_TOL, pauli_lur
+from uwit.states import DensityMatrix, bell_states, is_npt, maximally_mixed, save_state, werner_state
 
 
 def run_cli(*argv):
@@ -50,6 +51,22 @@ class TestEvaluate:
         report = json.loads(capsys.readouterr().out)
         assert report["npt"] is False
         assert not any(c["detected"] for c in report["criteria"])
+
+    @pytest.mark.parametrize("p", [(1 + 6e-13) / 3, (1 + 3.9e-9) / 3])
+    def test_pauli_lur_silent_on_ppt_werner_state(self, tmp_path, capsys, p):
+        # PPT states whose collective-Pauli sum 4 + 2N lies below 4 by more
+        # than DETECTION_TOL, but by less than 2 WITNESS_TOL
+        rho = werner_state(p)
+        assert not is_npt(rho)[0]
+        verdict = pauli_lur(rho)
+        assert 4.0 - 2.0 * WITNESS_TOL < verdict.value < 4.0 - DETECTION_TOL
+        assert not verdict.detected
+        state = tmp_path / "werner.json"
+        save_state(rho, state)
+        assert run_cli("evaluate", state, "--criteria", "pauli_lur") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [(c["id"], c["detected"]) for c in report["criteria"]] == [("pauli_lur", False)]
+        assert report["npt"] is False
 
     def test_invalid_trace_exits_3_and_names_invariant(self, tmp_path, capsys):
         state = tmp_path / "trace.json"
@@ -259,7 +276,7 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize(
         "argv, digest",
         [
-            (("werner",), "e8fbe4b57eec2016fc45d914fe82e0a7a6ea5f630111ef0228de6a249902733e"),
+            (("werner",), "be169002cb47843f0c7b7ea796207b1b3dd991297b013ed7df78eed1e7f7dceb"),
             (
                 ("sweep", "--d", "0.2", "--samples", "200", "--seed", "7", "--workers", "1"),
                 "d939f2fea3397b1c37512a9f76d5fbadf735e0fd1c10e6c52fddc9b584291a29",

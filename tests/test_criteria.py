@@ -9,6 +9,7 @@ from uwit.errors import (
 from uwit.linalg import ID2, SIGMA_X, SIGMA_Z, kron
 from uwit.criteria import (
     Observable,
+    _entropy,
     bell_populations,
     bell_tsallis_criterion,
     bell_variance_criterion,
@@ -228,6 +229,15 @@ class TestEntropies:
                 assert tsallis_entropy(p, 2.0) >= 0.0
                 assert shannon_entropy(p) <= np.log(n) + 1e-12
                 assert tsallis_entropy(p, 2.0) <= uniform_value + 1e-12
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 15.0])
+    def test_stacked_entropy_is_per_row_entropy(self, q):
+        rng = np.random.default_rng(11)
+        probs = rng.random((3, 40, 4)) * (rng.random((3, 40, 4)) < 0.7)
+        probs[..., 0] += 1e-3  # no all-zero row
+        probs /= probs.sum(axis=-1, keepdims=True)
+        rows = np.array([_entropy(row, q) for row in probs.reshape(-1, 4)])
+        assert _entropy(probs, q).tobytes() == rows.reshape(3, 40).tobytes()
 
     def test_rejects_bad_distributions(self):
         with pytest.raises(InvalidParameterError):

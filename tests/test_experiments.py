@@ -5,11 +5,18 @@ import numpy as np
 import pytest
 
 from uwit import experiments, states
-from uwit.criteria import linear_witness_value, nonlinear_witness_value
+from uwit.criteria import (
+    WITNESS_TOL,
+    _witness_detects,
+    linear_witness_value,
+    nonlinear_witness_value,
+    pauli_lur,
+)
 from uwit.errors import InvalidParameterError, InvalidWeightError, RejectionOverflowError
 from uwit.experiments import (
     DETECTION_CSV_HEADER,
     GEOMETRY_CSV_HEADER,
+    WernerThresholds,
     default_p_grid,
     evaluate_detection_flags,
     geometry_scan_to_dicts,
@@ -21,12 +28,14 @@ from uwit.experiments import (
     write_geometry_json,
 )
 from uwit.states import (
+    NPT_THRESHOLD,
     BellDiagonalCoords,
     NoiseBallConfig,
     is_npt,
     noise_rng,
     noisy_singlet,
     sample_noise_ball,
+    werner_state,
 )
 
 SMALL = NoiseBallConfig(d=0.2, seed=7, samples=200)
@@ -237,6 +246,27 @@ class TestWernerThresholds:
         thresholds = werner_thresholds()
         for value in (thresholds.witness, thresholds.lur, thresholds.npt):
             assert abs(value - 1.0 / 3.0) <= 1e-6
+
+    def test_closed_forms(self):
+        # both witness values are 1 - 3p and lambda_min(rho^T) is (1 - 3p)/4
+        witness = (1.0 + WITNESS_TOL) / 3.0
+        assert werner_thresholds() == WernerThresholds(witness, witness, (1.0 - 4.0 * NPT_THRESHOLD) / 3.0)
+
+    @pytest.mark.parametrize("side, detected", [(-1e-9, False), (1e-9, True)])
+    def test_scalar_criteria_switch_at_the_weights(self, side, detected):
+        thresholds = werner_thresholds()
+        rho = werner_state(thresholds.witness * (1.0 + side))
+        assert _witness_detects(linear_witness_value(rho)) == detected
+        assert nonlinear_witness_value(rho).detected == detected
+        assert pauli_lur(rho).detected == detected
+        assert is_npt(werner_state(thresholds.npt * (1.0 + side)))[0] == detected
+
+    def test_sweep_switches_at_the_weights(self):
+        thresholds = werner_thresholds()
+        grid = [w * (1.0 + side) for w in (thresholds.npt, thresholds.witness) for side in (-1e-9, 1e-9)]
+        rows = run_detection_sweep(NoiseBallConfig(d=0.0, seed=1, samples=3), grid)
+        fractions = [(row.fraction_witness, row.fraction_lur, row.fraction_npt) for row in rows]
+        assert fractions == [(0, 0, 0), (0, 0, 1), (0, 0, 1), (1, 1, 1)]
 
 
 class TestGeometryScan:

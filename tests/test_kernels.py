@@ -1,8 +1,8 @@
 """Property tests: every scalar criterion is its batch kernel applied to a
 batch of one, so scalar results equal the batch results over generated
 stacks of states; the sweep's closed-form flags equal the per-p kernel's;
-the batched noise draws equal the scalar sampler's; and neither witness
-fires on a PPT state."""
+the batched noise draws equal the scalar sampler's; and neither witness,
+nor pauli_lur, fires on a PPT state."""
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from uwit.criteria import (
     bell_variance_criterion,
     linear_witness_value,
     nonlinear_witness_value,
+    pauli_lur,
 )
 from uwit.errors import NumericalDefectError
 from uwit.experiments import (
@@ -240,6 +241,7 @@ def test_witnesses_silent_on_ppt_states(seed, rank, weight, bell_diagonal, targe
     assert not _witness_detects(linear_witness_value(state))
     nonlinear = nonlinear_witness_value(state)
     assert not nonlinear.detected
+    assert not pauli_lur(state).detected
     witness, lur, _ = _block_flags(rho[None], 0.0)
     assert not witness[0] and not lur[0]
     # the bound that WITNESS_TOL rests on, up to roundoff in the values
