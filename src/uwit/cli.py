@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -52,7 +53,6 @@ from .criteria import (
     CriterionVerdict,
 )
 from .experiments import (
-    default_p_grid,
     run_detection_sweep,
     run_geometry_scan,
     werner_thresholds,
@@ -209,6 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on first use, then reused for the
+    life of the process. ``build_parser`` still returns a fresh parser, so a
+    caller that changes one cannot change ``main``."""
+    return build_parser()
+
+
 def _save(path, write) -> None:
     """Call ``write(path)``; this is the one place an OSError becomes exit 4."""
     try:
@@ -264,7 +272,8 @@ def _cmd_evaluate(args) -> None:
 def _cmd_sweep(args) -> None:
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     config = NoiseBallConfig(d=args.d, seed=args.seed, samples=args.samples)
-    rows = run_detection_sweep(config, args.p_grid or default_p_grid(), workers=workers)
+    # without --p-grid, run_detection_sweep uses its default grid
+    rows = run_detection_sweep(config, args.p_grid, workers=workers)
     out = f"sweep.{args.format}" if args.out is None else args.out
     write = write_detection_csv if args.format == "csv" else write_detection_json
     _save(out, lambda path: write(rows, path))
@@ -306,7 +315,7 @@ def _cmd_gen_state(args) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed help, the version or a usage error
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:

@@ -8,7 +8,6 @@ and reuses it at every singlet weight of the grid."""
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
 from itertools import product
 from pathlib import Path
@@ -162,6 +161,14 @@ def _block_counts(task) -> np.ndarray:
     )
 
 
+def _process_pool(workers: int):
+    """A process pool of ``workers``. Only a pooled sweep needs one, so the
+    pool module is imported here and not by every command that imports uwit."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def evaluate_detection_flags(config: NoiseBallConfig, p: float, p_index: int):
     """Per-sample detection flags (witness, lur, npt) at singlet weight ``p``,
     exactly as counted by run_detection_sweep.
@@ -193,11 +200,14 @@ def run_detection_sweep(
     The detection inclusion chain (witness => lur => npt) and the soundness
     of both criteria on PPT samples are asserted sample by sample; a
     violation raises NumericalDefectError since it can only come from a
-    numerical defect.
+    numerical defect. An empty grid raises InvalidParameterError before
+    any sample is drawn.
     """
     if p_grid is None:
         p_grid = default_p_grid()
     p_grid = [_check_weight(float(p)) for p in p_grid]
+    if not p_grid:
+        raise InvalidParameterError("the p grid must hold at least one singlet weight")
 
     tasks = [
         (config.seed, config.d, tuple(p_grid), start, min(start + _BLOCK, config.samples))
@@ -209,7 +219,7 @@ def run_detection_sweep(
     if workers <= 1:
         results = map(_block_counts, tasks)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool(workers) as pool:
             results = list(pool.map(_block_counts, tasks))
 
     counts = sum(results, np.zeros((len(p_grid), 6), dtype=np.int64))

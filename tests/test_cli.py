@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import uwit
 from uwit import cli, experiments, states
 from uwit.cli import main
 from uwit.errors import (
@@ -213,6 +214,14 @@ class TestSweep:
         assert run_cli("werner") == 5
         err = capsys.readouterr().err
         assert err.count("error: ") == 2 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_empty_grid_exits_2(self, tmp_path, capsys):
+        # "," parses to an empty grid, which must not fall back to the default one
+        out = tmp_path / "empty.csv"
+        assert run_cli("sweep", "--p-grid", ",", "--samples", "3", "--workers", "1", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "p grid" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_ppt_white_noise_above_one_third_exits_0(self, tmp_path):
@@ -443,19 +452,102 @@ class TestParameterBoundary:
             run_cli("werner")
 
 
+def run_python(*args):
+    """A fresh interpreter that imports uwit from this checkout, installed or not."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+
+
 class TestParser:
     def test_unknown_flag_exits_2(self):
         assert run_cli("sweep", "--frobnicate") == 2
 
     def test_module_entry_point(self, tmp_path):
         state = tmp_path / "singlet.json"
-        # the subprocess imports uwit from this checkout, installed or not
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "uwit", "gen-state", "bell", "4", "--out", str(state)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": pythonpath},
-        )
+        result = run_python("-m", "uwit", "gen-state", "bell", "4", "--out", str(state))
         assert result.returncode == 0 and state.exists()
+
+    def test_import_leaves_process_pool_out(self):
+        # only a pooled sweep imports the pool module
+        code = "import sys, uwit, uwit.cli; print('concurrent.futures.process' in sys.modules)"
+        result = run_python("-c", code)
+        assert result.returncode == 0 and result.stdout == "False\n"
+
+
+@pytest.fixture
+def fresh_parser():
+    """main's shared parser, dropped before and after the test."""
+    cli._shared_parser.cache_clear()
+    yield
+    cli._shared_parser.cache_clear()
+
+
+@pytest.fixture
+def singlet(tmp_path):
+    state = tmp_path / "singlet.json"
+    save_state(bell_states()[3].density(), state)
+    return state
+
+
+class TestSharedParser:
+    """main reuses one parser per process; no call may leak into the next."""
+
+    def test_flags_do_not_leak_into_next_call(self, fresh_parser, singlet, capsys):
+        assert run_cli("evaluate", singlet) == 0
+        first = capsys.readouterr().out
+        assert run_cli("evaluate", singlet, "--q", "4", "--format", "csv") == 0
+        assert "bell_tsallis_q4" in capsys.readouterr().out
+        assert run_cli("evaluate", singlet) == 0
+        again = capsys.readouterr().out
+        assert again == first
+        ids = [c["id"] for c in json.loads(again)["criteria"]]
+        assert [i for i in ids if i.startswith("bell_tsallis")] == ["bell_tsallis_q2"]
+
+    def test_usage_error_then_valid_call(self, fresh_parser, singlet, capsys):
+        assert run_cli("evaluate", singlet) == 0
+        first = capsys.readouterr().out
+        assert run_cli("evaluate", singlet, "--format", "xml") == 2
+        assert "usage: uwit evaluate" in capsys.readouterr().err
+        assert run_cli("evaluate", singlet) == 0
+        assert capsys.readouterr().out == first
+
+    def test_version_then_valid_call(self, fresh_parser, singlet, capsys):
+        assert run_cli("--version") == 0
+        assert capsys.readouterr().out == f"uwit {uwit.__version__}\n"
+        assert run_cli("evaluate", singlet, "--format", "csv") == 0
+        assert capsys.readouterr().out.startswith("id,value,threshold,detected\n")
+
+    def test_env_seed_after_flag_seed(self, fresh_parser, tmp_path, monkeypatch):
+        monkeypatch.setenv("UWIT_SEED", "123")
+        argv = ("sweep", "--samples", "5", "--p-grid", "0.5", "--workers", "1")
+        assert run_cli(*argv, "--seed", "7", "--out", tmp_path / "a.csv") == 0
+        assert run_cli(*argv, "--out", tmp_path / "b.csv") == 0
+        assert (tmp_path / "a.csv").read_text().splitlines()[1].endswith(",7")
+        assert (tmp_path / "b.csv").read_text().splitlines()[1].endswith(",123")
+
+    def test_parser_built_once(self, fresh_parser, singlet, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        for argv in (("evaluate", singlet), ("evaluate", singlet, "--q", "nan"), ("--version",)):
+            run_cli(*argv)
+        assert len(built) == 1
+
+    def test_changing_a_built_parser_leaves_main_alone(self, fresh_parser, capsys):
+        assert cli.build_parser() is not cli.build_parser()
+        parser = cli.build_parser()
+        parser.add_argument("--extra", action="store_true")
+        assert parser.parse_args(["--extra", "werner"]).extra
+        assert run_cli("--extra", "werner") == 2
+        assert "unrecognized arguments: --extra" in capsys.readouterr().err

@@ -183,7 +183,7 @@ class TestDetectionSweep:
 
         config = NoiseBallConfig(d=0.2, seed=7, samples=20)
         expected = run_detection_sweep(config, [0.3, 0.6], workers=1)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(experiments, "_process_pool", InProcessPool)
         monkeypatch.setattr(experiments, "_BLOCK", 7)
         assert run_detection_sweep(config, [0.3, 0.6], workers=64) == expected
         assert requested == [3]
@@ -195,8 +195,16 @@ class TestDetectionSweep:
 
         config = NoiseBallConfig(d=0.2, seed=7, samples=20)
         expected = run_detection_sweep(config, [0.3, 0.6], workers=1)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(experiments, "_process_pool", no_pool)
         assert run_detection_sweep(config, [0.3, 0.6], workers=64) == expected
+
+    def test_empty_grid_raises_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("an empty grid drew samples")
+
+        monkeypatch.setattr(experiments, "_draw_noise_block", no_draw)
+        with pytest.raises(InvalidParameterError, match="p grid"):
+            run_detection_sweep(SMALL, [])
 
     def test_rerun_is_identical(self):
         rows_a = run_detection_sweep(SMALL, [0.2, 0.6])
