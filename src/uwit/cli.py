@@ -1,6 +1,7 @@
-"""Command-line front end: evaluate criteria on a stored state, run the
-detection sweep and geometry scan, locate the Werner thresholds, and
-generate state files.
+"""Command-line front end. It only parses flags, renders reports and maps
+errors to exit codes; the library decides (``criteria._CRITERIA`` gives the
+verdicts of each criterion id). Every flag is checked as it is parsed, and
+``UWIT_SEED`` is read only by a command with ``--seed`` run without it.
 
 Exit codes: 0 success (detection results are data, never an error),
 2 malformed input or bad parameters (including NaN, infinite or
@@ -42,16 +43,7 @@ from .states import (
     save_state,
     werner_state,
 )
-from .criteria import (
-    _check_q,
-    _witness_detects,
-    bell_tsallis_criterion,
-    bell_variance_criterion,
-    linear_witness_value,
-    nonlinear_witness_value,
-    pauli_lur,
-    CriterionVerdict,
-)
+from .criteria import _CRITERIA, CRITERION_CHOICES, _check_q
 from .experiments import (
     run_detection_sweep,
     run_geometry_scan,
@@ -80,24 +72,6 @@ _EXIT_CODES = (
     ((NumericalDefectError, ConvergenceError), EXIT_NUMERICAL_DEFECT),
     (UwitError, EXIT_BAD_INPUT),
 )
-
-
-def _linear_witness_verdicts(rho, q_values) -> list[CriterionVerdict]:
-    value = linear_witness_value(rho)
-    return [CriterionVerdict(value, 0.0, _witness_detects(value), "linear_witness")]
-
-
-# criterion id -> verdicts for (state, q values). Each entry looks its
-# criterion up by name when called, so a wrapper swapped into this module
-# (as the benchmark's tracer does) is the one that runs.
-_CRITERIA = {
-    "linear_witness": _linear_witness_verdicts,
-    "nonlinear_witness": lambda rho, q_values: [nonlinear_witness_value(rho)],
-    "pauli_lur": lambda rho, q_values: [pauli_lur(rho)],
-    "bell_variance": lambda rho, q_values: [bell_variance_criterion(rho)],
-    "bell_tsallis": lambda rho, q_values: [bell_tsallis_criterion(rho, q) for q in q_values],
-}
-CRITERION_CHOICES = tuple(_CRITERIA)
 
 
 def _integer(name: str, value: float) -> int:
@@ -132,6 +106,16 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
+def _criterion_ids(text: str) -> list[str]:
+    ids = [tok.strip() for tok in text.split(",") if tok.strip()]
+    unknown = [name for name in ids if name not in _CRITERIA]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown criteria: {', '.join(unknown)}")
+    if not ids:
+        raise argparse.ArgumentTypeError("no criterion given")
+    return ids
+
+
 def _worker_count(text: str) -> int:
     workers = int(text)
     if workers < 1:
@@ -158,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("state", help="path to a JSON density-matrix file")
     p_eval.add_argument(
         "--criteria",
-        default=",".join(CRITERION_CHOICES),
+        type=_criterion_ids,
+        default=CRITERION_CHOICES,
         help="comma-separated criterion ids (default: all)",
     )
     p_eval.add_argument(
@@ -182,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--samples", type=int, default=2000)
     p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--workers", type=_worker_count, default=None)
+    p_sweep.add_argument("--workers", type=_worker_count, default=os.cpu_count() or 1)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--out", default=None, help="output path (default: sweep.<format>)")
 
@@ -233,12 +218,8 @@ def _cmd_evaluate(args) -> None:
     rho = load_state(args.state)
     if rho.dims != (2, 2):
         raise DimensionMismatchError(f"criteria are defined for dims [2, 2], got {list(rho.dims)}")
-    criteria = [name.strip() for name in args.criteria.split(",") if name.strip()]
-    unknown = [name for name in criteria if name not in _CRITERIA]
-    if unknown:
-        raise InvalidParameterError(f"unknown criteria: {', '.join(unknown)}")
     q_values = args.q or [2.0]
-    verdicts = [v for name in criteria for v in _CRITERIA[name](rho, q_values)]
+    verdicts = [v for name in args.criteria for v in _CRITERIA[name](rho, q_values)]
     npt, min_pt = is_npt(rho)
 
     if args.format == "json":
@@ -270,16 +251,15 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_sweep(args) -> None:
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     config = NoiseBallConfig(d=args.d, seed=args.seed, samples=args.samples)
     # without --p-grid, run_detection_sweep uses its default grid
-    rows = run_detection_sweep(config, args.p_grid, workers=workers)
+    rows = run_detection_sweep(config, args.p_grid, workers=args.workers)
     out = f"sweep.{args.format}" if args.out is None else args.out
     write = write_detection_csv if args.format == "csv" else write_detection_json
     _save(out, lambda path: write(rows, path))
     print(
         f"sweep: wrote {len(rows)} rows to {out} "
-        f"(d={args.d:g}, samples={args.samples}, seed={args.seed}, workers={workers})"
+        f"(d={args.d:g}, samples={args.samples}, seed={args.seed}, workers={args.workers})"
     )
 
 
@@ -319,13 +299,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse has printed help, the version or a usage error
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
-        seed_env = os.environ.get("UWIT_SEED", "42")
-        try:
-            env_seed = int(seed_env)
-        except ValueError:
-            raise InvalidParameterError(f"UWIT_SEED must be an integer, got {seed_env!r}") from None
-        if getattr(args, "seed", None) is None:
-            args.seed = env_seed
+        if "seed" in vars(args) and args.seed is None:  # only sweep and gen-state take --seed
+            seed_env = os.environ.get("UWIT_SEED", "42")
+            try:
+                args.seed = int(seed_env)
+            except ValueError:
+                raise InvalidParameterError(f"UWIT_SEED must be an integer, got {seed_env!r}") from None
         args.run(args)
     except UwitError as exc:
         print(f"error: {exc}", file=sys.stderr)

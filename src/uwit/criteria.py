@@ -329,3 +329,21 @@ def bell_tsallis_criterion(rho: DensityMatrix, q: float) -> CriterionVerdict:
     value = float(_entropy(populations, q))
     detected = bool(_bell_tsallis_detects(populations, q))
     return CriterionVerdict(value, threshold, detected, f"bell_tsallis_q{q:g}")
+
+
+def _linear_witness_verdicts(rho: DensityMatrix, q_values) -> list[CriterionVerdict]:
+    value = linear_witness_value(rho)
+    return [CriterionVerdict(value, 0.0, _witness_detects(value), "linear_witness")]
+
+
+# criterion id -> verdicts for (state, q values). Each entry looks its
+# criterion up by name when called, so a wrapper swapped into this module
+# (as the benchmark's tracer does) is the one that runs.
+_CRITERIA = {
+    "linear_witness": _linear_witness_verdicts,
+    "nonlinear_witness": lambda rho, q_values: [nonlinear_witness_value(rho)],
+    "pauli_lur": lambda rho, q_values: [pauli_lur(rho)],
+    "bell_variance": lambda rho, q_values: [bell_variance_criterion(rho)],
+    "bell_tsallis": lambda rho, q_values: [bell_tsallis_criterion(rho, q) for q in q_values],
+}
+CRITERION_CHOICES = tuple(_CRITERIA)

@@ -260,16 +260,19 @@ def run_geometry_scan(resolution: int = 101, q_values=(2.0, 4.0, 15.0)) -> Geome
     q_values = tuple(_check_q(float(q)) for q in q_values)
 
     axis = np.linspace(-1.0, 1.0, resolution)
-    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-    x, y, z = gx.ravel(), gy.ravel(), gz.ravel()
+    try:
+        gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
+        x, y, z = gx.ravel(), gy.ravel(), gz.ravel()
 
-    populations = bell_populations_from_coords(np.stack([x, y, z], axis=1))
-    is_state = _tetrahedron_mask(populations)
-    in_octahedron = _octahedron_mask(populations)
-    # the decisions of bell_variance_criterion / bell_tsallis_criterion
-    clamped = np.clip(populations, 0.0, None)
-    sphere_detected = is_state & _bell_tsallis_detects(clamped, 2.0)
-    tsallis_detected = {q: is_state & _bell_tsallis_detects(clamped, q) for q in q_values}
+        populations = bell_populations_from_coords(np.stack([x, y, z], axis=1))
+        is_state = _tetrahedron_mask(populations)
+        in_octahedron = _octahedron_mask(populations)
+        # the decisions of bell_variance_criterion / bell_tsallis_criterion
+        clamped = np.clip(populations, 0.0, None)
+        sphere_detected = is_state & _bell_tsallis_detects(clamped, 2.0)
+        tsallis_detected = {q: is_state & _bell_tsallis_detects(clamped, q) for q in q_values}
+    except MemoryError as exc:  # numpy refuses an allocation it cannot make
+        raise InvalidParameterError(f"resolution {resolution} needs too much memory: {exc}") from None
 
     return GeometryScan(
         resolution=resolution,

@@ -101,6 +101,16 @@ class TestEvaluate:
         run_cli("gen-state", "bell", "4", "--out", state)
         assert run_cli("evaluate", state, "--criteria", "nope") == 2
 
+    @pytest.mark.parametrize("criteria", [",", " , "])
+    def test_no_criterion_exits_2(self, tmp_path, capsys, criteria):
+        state = tmp_path / "singlet.json"
+        run_cli("gen-state", "bell", "4", "--out", state)
+        capsys.readouterr()
+        assert run_cli("evaluate", state, "--criteria", criteria) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage: uwit evaluate" in captured.err
+        assert "argument --criteria: no criterion given" in captured.err
+
     def test_csv_format(self, tmp_path, capsys):
         state = tmp_path / "singlet.json"
         run_cli("gen-state", "bell", "4", "--out", state)
@@ -174,6 +184,18 @@ class TestSweep:
         monkeypatch.setenv("UWIT_SEED", "not-a-number")
         assert run_cli("sweep", "--samples", "5", "--p-grid", "0.5", "--out", tmp_path / "e.csv") == 2
 
+    def test_bad_env_seed_unread_when_not_needed(self, tmp_path, monkeypatch, capsys):
+        # only a command with --seed, run without it, reads UWIT_SEED
+        state = tmp_path / "singlet.json"
+        assert run_cli("gen-state", "bell", "4", "--out", state) == 0
+        monkeypatch.setenv("UWIT_SEED", "abc")
+        assert run_cli("evaluate", state) == 0
+        assert run_cli("werner") == 0
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--samples", "5", "--p-grid", "0.5", "--seed", "7", "--out", out) == 0
+        assert out.read_text().splitlines()[1].endswith(",7")
+        assert "error" not in capsys.readouterr().err
+
     def test_bad_grid_exits_2(self, tmp_path):
         assert run_cli("sweep", "--samples", "5", "--p-grid", "0.5,2", "--out", tmp_path / "f.csv") == 2
 
@@ -197,20 +219,15 @@ class TestSweep:
 
     def test_numerical_defect_exits_5(self, tmp_path, monkeypatch, capsys):
         # a witness firing without the nonlinear witness breaks the inclusion chain
-        def broken_flags(sigma, p):
-            n = len(sigma)
-            return np.ones(n, dtype=bool), np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-
         def broken_sweep_flags(sigma, p_grid):
             shape = (len(sigma), len(p_grid))
             return np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
 
-        # the sweep decides all of a block's grid at once; werner bisects per p
+        # both the sweep and the Werner check decide through _sweep_flags
         monkeypatch.setattr(experiments, "_sweep_flags", broken_sweep_flags)
-        monkeypatch.setattr(experiments, "_block_flags", broken_flags)
         out = tmp_path / "h.csv"
         assert run_cli("sweep", "--samples", "5", "--p-grid", "0.5", "--workers", "1", "--out", out) == 5
-        # the same flags fire at p = 0, so the Werner bisection is not bracketed
+        # the witness flag is on just below its closed-form weight, so the check fails
         assert run_cli("werner") == 5
         err = capsys.readouterr().err
         assert err.count("error: ") == 2 and "Traceback" not in err
@@ -243,6 +260,14 @@ class TestGeometry:
 
     def test_bad_resolution_exits_2(self, tmp_path):
         assert run_cli("geometry", "--resolution", "1", "--out", tmp_path / "g.csv") == 2
+
+    def test_unallocatable_resolution_exits_2(self, tmp_path, capsys):
+        # 10**18 cells: numpy refuses the first grid array before touching memory
+        out = tmp_path / "g.csv"
+        assert run_cli("geometry", "--resolution", str(10**6), "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: resolution 1000000 ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestDefaultOut:
@@ -508,6 +533,13 @@ class TestSharedParser:
         assert again == first
         ids = [c["id"] for c in json.loads(again)["criteria"]]
         assert [i for i in ids if i.startswith("bell_tsallis")] == ["bell_tsallis_q2"]
+
+    def test_criteria_selection_does_not_leak(self, fresh_parser, singlet, capsys):
+        assert run_cli("evaluate", singlet, "--criteria", "pauli_lur") == 0
+        assert [c["id"] for c in json.loads(capsys.readouterr().out)["criteria"]] == ["pauli_lur"]
+        assert run_cli("evaluate", singlet) == 0
+        ids = [c["id"] for c in json.loads(capsys.readouterr().out)["criteria"]]
+        assert ids == ["linear_witness", "nonlinear_witness", "pauli_lur", "bell_variance", "bell_tsallis_q2"]
 
     def test_usage_error_then_valid_call(self, fresh_parser, singlet, capsys):
         assert run_cli("evaluate", singlet) == 0
