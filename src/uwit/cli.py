@@ -1,14 +1,17 @@
 """Command-line front end. It only parses flags, renders reports and maps
 errors to exit codes; the library decides (``criteria._CRITERIA`` gives the
 verdicts of each criterion id). Every flag is checked as it is parsed, and
-``UWIT_SEED`` is read only by a command with ``--seed`` run without it.
+``UWIT_SEED`` is read only by a command that draws random numbers (``sweep``,
+``gen-state noisy-singlet`` and ``gen-state random-separable``) run without
+``--seed``.
 
 Exit codes: 0 success (detection results are data, never an error),
 2 malformed input or bad parameters (including NaN, infinite or
 non-integer values where a finite number or an integer is needed; flag
 errors print argparse's usage line), 3 a state file violating the
 density-matrix invariants, 4 an unwritable output path, 5 a numerical
-defect (a sweep or Werner result breaking an exact-arithmetic invariant)."""
+defect (a sweep or Werner result breaking an exact-arithmetic invariant, or
+an eigendecomposition that did not converge)."""
 
 from __future__ import annotations
 
@@ -47,6 +50,7 @@ from .criteria import _CRITERIA, CRITERION_CHOICES, _check_q
 from .experiments import (
     run_detection_sweep,
     run_geometry_scan,
+    sweep_workers,
     werner_thresholds,
     write_detection_csv,
     write_detection_json,
@@ -81,18 +85,33 @@ def _integer(name: str, value: float) -> int:
     return int(value)
 
 
-# kind -> (parameter count, state from (parameters, seed))
+def _seed(flag: int | None) -> int:
+    """The ``--seed`` value, or without it ``UWIT_SEED`` (default 42). Only
+    a command that draws random numbers calls this, so a malformed
+    ``UWIT_SEED`` fails no other command."""
+    if flag is not None:
+        return flag
+    seed_env = os.environ.get("UWIT_SEED", "42")
+    try:
+        return int(seed_env)
+    except ValueError:
+        raise InvalidParameterError(f"UWIT_SEED must be an integer, got {seed_env!r}") from None
+
+
+# kind -> (parameter count, state from (parameters, --seed))
 _GEN_STATE = {
     "bell": (1, lambda params, seed: bell_state(_integer("Bell index", params[0])).density()),
     "werner": (1, lambda params, seed: werner_state(params[0])),
     "noisy-singlet": (
         2,
-        lambda params, seed: noisy_singlet(params[0], sample_noise_ball(params[1], noise_rng(seed))),
+        lambda params, seed: noisy_singlet(
+            params[0], sample_noise_ball(params[1], noise_rng(_seed(seed)))
+        ),
     ),
     "bell-diagonal": (3, lambda params, seed: bell_diagonal_state(tuple(params))),
     "random-separable": (
         1,
-        lambda params, seed: random_separable_state(_integer("k", params[0]), noise_rng(seed)),
+        lambda params, seed: random_separable_state(_integer("k", params[0]), noise_rng(_seed(seed))),
     ),
 }
 GEN_STATE_KINDS = tuple(_GEN_STATE)
@@ -251,15 +270,17 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_sweep(args) -> None:
-    config = NoiseBallConfig(d=args.d, seed=args.seed, samples=args.samples)
+    seed = _seed(args.seed)
+    config = NoiseBallConfig(d=args.d, seed=seed, samples=args.samples)
     # without --p-grid, run_detection_sweep uses its default grid
     rows = run_detection_sweep(config, args.p_grid, workers=args.workers)
     out = f"sweep.{args.format}" if args.out is None else args.out
     write = write_detection_csv if args.format == "csv" else write_detection_json
     _save(out, lambda path: write(rows, path))
+    workers = sweep_workers(args.samples, args.workers)
     print(
         f"sweep: wrote {len(rows)} rows to {out} "
-        f"(d={args.d:g}, samples={args.samples}, seed={args.seed}, workers={args.workers})"
+        f"(d={args.d:g}, samples={args.samples}, seed={seed}, workers={workers})"
     )
 
 
@@ -299,12 +320,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse has printed help, the version or a usage error
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
-        if "seed" in vars(args) and args.seed is None:  # only sweep and gen-state take --seed
-            seed_env = os.environ.get("UWIT_SEED", "42")
-            try:
-                args.seed = int(seed_env)
-            except ValueError:
-                raise InvalidParameterError(f"UWIT_SEED must be an integer, got {seed_env!r}") from None
         args.run(args)
     except UwitError as exc:
         print(f"error: {exc}", file=sys.stderr)

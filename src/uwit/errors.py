@@ -14,7 +14,7 @@ class NotHermitianError(UwitError, ValueError):
 
 
 class ConvergenceError(UwitError, RuntimeError):
-    """The eigensolver hit its sweep cap before converging."""
+    """The eigensolver (LAPACK) did not converge."""
 
 
 class NotPositiveError(UwitError, ValueError):

@@ -179,6 +179,13 @@ def evaluate_detection_flags(config: NoiseBallConfig, p: float, p_index: int):
     return _block_flags(_draw_noise_block(config.seed, config.d, 0, config.samples), p)
 
 
+def sweep_workers(samples: int, workers: int) -> int:
+    """How many processes a sweep of ``samples`` samples runs on when asked
+    for ``workers``: 1 means in process. The pool forks all its workers up
+    front, so it gets at most one per block of samples."""
+    return max(1, min(workers, -(-samples // _BLOCK)))
+
+
 def default_p_grid() -> list[float]:
     """The default sweep grid 0.00, 0.05, ..., 1.00."""
     return [float(v) for v in np.linspace(0.0, 1.0, 21)]
@@ -214,9 +221,8 @@ def run_detection_sweep(
         for start in range(0, config.samples, _BLOCK)
     ]
 
-    # the pool forks all its workers up front; more than one per task is waste
-    workers = min(workers, len(tasks))
-    if workers <= 1:
+    workers = sweep_workers(config.samples, workers)
+    if workers == 1:
         results = map(_block_counts, tasks)
     else:
         with _process_pool(workers) as pool:

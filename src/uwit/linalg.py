@@ -1,10 +1,10 @@
-"""Dense complex-matrix substrate: Kronecker products, a cyclic Jacobi
-eigensolver for Hermitian matrices, partial transposition, expectation values
-and the Hilbert-Schmidt norm. Everything operates on plain numpy arrays."""
+"""Dense complex-matrix substrate: Kronecker products, the Hermitian
+eigendecomposition (LAPACK through numpy), partial transposition,
+expectation values and the Hilbert-Schmidt norm. Everything operates on plain
+numpy arrays."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +77,8 @@ def expectation(rho, m) -> float:
     if r.shape != o.shape:
         raise DimensionMismatchError(f"shape mismatch {r.shape} vs {o.shape}")
     for name, mat in (("rho", r), ("m", o)):
-        if hermiticity_defect(mat) > HERMITICITY_TOL:
+        # a NaN or infinite entry makes the defect NaN, which must fail too
+        if not hermiticity_defect(mat) <= HERMITICITY_TOL:
             raise NotHermitianError(f"{name} is not Hermitian within {HERMITICITY_TOL}")
     t = complex(np.einsum("ij,ji->", r, o))
     if abs(t.imag) > HERMITICITY_TOL:
@@ -85,58 +86,18 @@ def expectation(rho, m) -> float:
     return t.real
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+def hermitian_eigen(h) -> Spectrum:
+    """Eigendecomposition of a complex Hermitian matrix by LAPACK (numpy's
+    ``eigh``), the one eigensolver every uwit decision uses.
 
-
-def hermitian_eigen(h, max_sweeps: int = 100, off_tol: float = 1e-12) -> Spectrum:
-    """Eigendecomposition of a complex Hermitian matrix by cyclic Jacobi rotations.
-
-    Sweeps annihilate each off-diagonal pivot in turn with a unitary 2x2
-    rotation; iteration stops once the Hilbert-Schmidt mass of the
-    off-diagonal part drops below ``off_tol``. Built for small dense
-    matrices (dim <= ~16) where robustness matters more than speed.
-
-    Raises NotHermitianError if the input is not Hermitian within 1e-10,
-    ConvergenceError if ``max_sweeps`` sweeps do not reach ``off_tol``.
+    Raises NotHermitianError if the input is not Hermitian within 1e-10 or
+    has a non-finite entry, ConvergenceError if LAPACK does not converge.
     """
-    a = _as_square(h).copy()
-    if hermiticity_defect(a) > HERMITICITY_TOL:
+    a = _as_square(h)
+    if not hermiticity_defect(a) <= HERMITICITY_TOL:
         raise NotHermitianError(f"matrix is not Hermitian within {HERMITICITY_TOL}")
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    skip_tol = off_tol / (2.0 * n * n)
-
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) < off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = abs(a[p, q])
-                if g <= skip_tol:
-                    continue
-                phase = a[p, q] / g
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * g)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # A <- J^dagger A J with J the (p,q) plane rotation
-                ap, aq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * ap - s * np.conj(phase) * aq
-                a[:, q] = s * phase * ap + c * aq
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * phase * rq
-                a[q, :] = s * np.conj(phase) * rp + c * rq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * np.conj(phase) * vq
-                v[:, q] = s * phase * vp + c * vq
-    else:
-        if _offdiag_norm(a) >= off_tol:
-            raise ConvergenceError(
-                f"Jacobi iteration did not converge in {max_sweeps} sweeps"
-            )
-
-    eigenvalues = np.diag(a).real
-    order = np.argsort(eigenvalues, kind="stable")
-    return Spectrum(eigenvalues[order].copy(), v[:, order].copy())
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+    return Spectrum(eigenvalues, eigenvectors)

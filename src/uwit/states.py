@@ -83,7 +83,7 @@ def density_matrix_violations(m: np.ndarray) -> list[str]:
     if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
         violations.append("unit_trace")
     if "hermitian" not in violations:
-        # cheap LAPACK check; the Jacobi solver is cross-validated against it
+        # the same LAPACK solver as hermitian_eigen, eigenvalues only
         if float(np.linalg.eigvalsh(m)[0]) < PSD_TOL:
             violations.append("positive_semidefinite")
     return violations

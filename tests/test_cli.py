@@ -185,16 +185,31 @@ class TestSweep:
         assert run_cli("sweep", "--samples", "5", "--p-grid", "0.5", "--out", tmp_path / "e.csv") == 2
 
     def test_bad_env_seed_unread_when_not_needed(self, tmp_path, monkeypatch, capsys):
-        # only a command with --seed, run without it, reads UWIT_SEED
+        # only a command that draws random numbers, run without --seed, reads UWIT_SEED
         state = tmp_path / "singlet.json"
-        assert run_cli("gen-state", "bell", "4", "--out", state) == 0
         monkeypatch.setenv("UWIT_SEED", "abc")
+        assert run_cli("gen-state", "bell", "4", "--out", state) == 0
+        assert run_cli("gen-state", "werner", "0.5", "--out", tmp_path / "w.json") == 0
+        assert run_cli("gen-state", "bell-diagonal", "-1", "-1", "-1", "--out", tmp_path / "b.json") == 0
         assert run_cli("evaluate", state) == 0
         assert run_cli("werner") == 0
         out = tmp_path / "s.csv"
         assert run_cli("sweep", "--samples", "5", "--p-grid", "0.5", "--seed", "7", "--out", out) == 0
         assert out.read_text().splitlines()[1].endswith(",7")
         assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, params", [("noisy-singlet", ("0.5", "0.2")), ("random-separable", ("2",))])
+    def test_bad_env_seed_read_by_drawing_kinds(self, tmp_path, monkeypatch, capsys, kind, params):
+        monkeypatch.setenv("UWIT_SEED", "abc")
+        assert run_cli("gen-state", kind, *params, "--out", tmp_path / "s.json") == 2
+        assert "UWIT_SEED must be an integer" in capsys.readouterr().err
+        assert run_cli("gen-state", kind, *params, "--seed", "1", "--out", tmp_path / "s.json") == 0
+
+    def test_summary_reports_the_workers_used(self, tmp_path, capsys):
+        # 5 samples fill one block, so the sweep runs in process
+        out = tmp_path / "w.csv"
+        assert run_cli("sweep", "--samples", "5", "--p-grid", "0.5", "--workers", "2", "--out", out) == 0
+        assert "workers=1)" in capsys.readouterr().out
 
     def test_bad_grid_exits_2(self, tmp_path):
         assert run_cli("sweep", "--samples", "5", "--p-grid", "0.5,2", "--out", tmp_path / "f.csv") == 2
@@ -321,7 +336,7 @@ class TestPinnedOutputs:
             ),
             (
                 ("evaluate", "STATE"),
-                "ee0353a906f31814278178c6fbf25e2bc7d2112a15e6fa8698fe59fc638b60d8",
+                "48554a7747e01824725754d78ce758140759d7eeeac350d466b95d5f73dea174",
             ),
             (
                 ("evaluate", "STATE", "--format", "csv"),
@@ -467,6 +482,17 @@ class TestParameterBoundary:
         monkeypatch.setattr(cli, "werner_thresholds", fail)
         assert run_cli("werner") == code
         assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_eigensolver_failure_exits_5(self, tmp_path, monkeypatch, capsys):
+        state = tmp_path / "singlet.json"
+        assert run_cli("gen-state", "bell", "4", "--out", state) == 0
+
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        assert run_cli("evaluate", state) == 5
+        assert capsys.readouterr().err.startswith("error: eigendecomposition did not converge")
 
     def test_bare_value_error_is_a_bug_and_propagates(self, monkeypatch):
         def fail():

@@ -17,6 +17,7 @@ from uwit.experiments import (
     DETECTION_CSV_HEADER,
     GEOMETRY_CSV_HEADER,
     WernerThresholds,
+    _block_flags,
     default_p_grid,
     evaluate_detection_flags,
     geometry_scan_to_dicts,
@@ -105,6 +106,25 @@ class TestDetectionSweep:
             assert (linear_witness_value(rho) < -1e-12) == witness[i]
             assert nonlinear_witness_value(rho).detected == lur[i]
             assert is_npt(rho)[0] == npt[i]
+
+    @pytest.mark.parametrize("d, seed", [(0.0, 1), (0.2, 7), (0.5, 3)])
+    def test_one_state_route_matches_batch_kernel_at_npt_edge(self, d, seed):
+        # is_npt and the batch kernel both ask LAPACK, so they agree 1e-9 and
+        # 1e-12 either side of each sample's NPT weight (d = 0 is the Werner
+        # line); eigh and eigvalsh may still part within a few ulps of it
+        for i in range(6):
+            sigma = sample_noise_ball(d, noise_rng(seed, i))
+            if _block_flags(sigma.matrix[None], 0.0)[2][0]:
+                continue  # NPT noise: no edge in (0, 1]
+            lo, hi = 0.0, 1.0
+            for _ in range(64):  # bisect the kernel's NPT weight to adjacent floats
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if _block_flags(sigma.matrix[None], mid)[2][0] else (mid, hi)
+            for side in (-1e-9, -1e-12, 1e-12, 1e-9):
+                p = min(hi * (1.0 + side), 1.0)
+                npt = _block_flags(sigma.matrix[None], p)[2][0]
+                assert is_npt(noisy_singlet(p, sigma))[0] == npt
+                assert npt == (side > 0)
 
     def test_noise_drawn_once_per_sample(self, monkeypatch):
         keys = []

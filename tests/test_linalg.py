@@ -15,6 +15,15 @@ from uwit.linalg import (
 )
 
 
+# a NaN or infinite entry makes the Hermiticity defect non-finite, which
+# fails; inf - inf in the defect makes numpy warn on the way
+NON_HERMITIAN = [
+    np.array([[0.0, 1.0], [0.0, 0.0]]),
+    np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    np.array([[np.inf, 0.0], [0.0, 1.0]]),
+]
+
+
 def random_hermitian(rng, n):
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (x + x.conj().T) / 2
@@ -102,14 +111,19 @@ class TestHermitianEigen:
         rebuilt = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
         assert np.linalg.norm(rebuilt - h) <= 1e-10
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        for m in NON_HERMITIAN:
+            with pytest.raises(NotHermitianError):
+                hermitian_eigen(m)
 
-    def test_sweep_cap(self):
-        rng = np.random.default_rng(5)
+    def test_lapack_failure_raises_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(ConvergenceError):
-            hermitian_eigen(random_hermitian(rng, 6), max_sweeps=1)
+            hermitian_eigen(SIGMA_Z)
 
 
 class TestPartialTranspose:
@@ -172,9 +186,13 @@ class TestExpectation:
         with pytest.raises(DimensionMismatchError):
             expectation(np.eye(2) / 2, np.eye(4))
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            expectation(np.eye(2) / 2, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        for m in NON_HERMITIAN:
+            with pytest.raises(NotHermitianError):
+                expectation(np.eye(2) / 2, m)
+            with pytest.raises(NotHermitianError):
+                expectation(m, SIGMA_Z)
 
 
 class TestHsNorm:
