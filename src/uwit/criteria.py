@@ -63,12 +63,14 @@ class Observable:
     spectral: tuple[tuple[float, np.ndarray], ...]
 
     @classmethod
-    def from_matrix(cls, m, degeneracy_tol: float = DEGENERACY_TOL) -> "Observable":
+    def from_matrix(cls, m) -> "Observable":
         mat = np.asarray(m, dtype=complex)
+        if mat.ndim != 2:  # hermitian_eigen also takes stacks
+            raise DimensionMismatchError(f"an observable is one square matrix, got shape {mat.shape}")
         eig = hermitian_eigen(mat)
         groups: list[list[int]] = []
         for idx, val in enumerate(eig.eigenvalues):
-            if groups and val - eig.eigenvalues[groups[-1][-1]] <= degeneracy_tol:
+            if groups and val - eig.eigenvalues[groups[-1][-1]] <= DEGENERACY_TOL:
                 groups[-1].append(idx)
             else:
                 groups.append([idx])
@@ -122,12 +124,12 @@ def variance(rho: DensityMatrix, m) -> float:
     return max(second - mean * mean, 0.0)
 
 
-def lur_value(rho: DensityMatrix, observables, bound: float, criterion_id: str = "lur") -> CriterionVerdict:
+def lur_value(rho: DensityMatrix, observables, bound: float) -> CriterionVerdict:
     """Summed variances against a local-uncertainty bound that every
     separable state inherits; a value strictly below ``bound`` detects
     entanglement."""
     total = sum(variance(rho, m) for m in observables)
-    return CriterionVerdict(total, bound, _detects(total, bound), criterion_id)
+    return CriterionVerdict(total, bound, _detects(total, bound), "lur")
 
 
 @lru_cache(maxsize=1)

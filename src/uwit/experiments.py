@@ -15,12 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidParameterError, NumericalDefectError
-from .linalg import partial_transpose
+from .linalg import hermitian_eigen, partial_transpose
 from .states import (
     NPT_THRESHOLD,
     NoiseBallConfig,
     _check_weight,
     _draw_noise_block,
+    _min_pt_eigenvalues,
     _octahedron_mask,
     _tetrahedron_mask,
     bell_populations_from_coords,
@@ -85,15 +86,16 @@ def _block_flags(sigma: np.ndarray, p: float):
     """Detection flags (witness, nonlinear, npt) of the noisy singlets
     p |psi-><psi-| + (1 - p) sigma_i for a stack of noise matrices sigma_i.
 
-    The witnesses use the batch kernels of the scalar criteria. This is the
+    The witnesses use the batch kernels of the scalar criteria and NPT the
+    kernel of is_npt, so each flag is the scalar verdict. This is the
     per-p reference: _sweep_flags falls back on it near a threshold, and
     evaluate_detection_flags calls it on a sweep's sigma.
     """
     rho = p * _SINGLET[None, :, :] + (1.0 - p) * sigma
     linear = _linear_witness_values(rho)
     nonlinear = _nonlinear_witness_values(rho, linear)
-    min_pt_eig = np.linalg.eigvalsh(partial_transpose(rho, (2, 2)))[:, 0]
-    return _witness_detects(linear), _witness_detects(nonlinear), min_pt_eig < NPT_THRESHOLD
+    npt = _min_pt_eigenvalues(rho, (2, 2)) < NPT_THRESHOLD
+    return _witness_detects(linear), _witness_detects(nonlinear), npt
 
 
 def _sweep_flags(sigma: np.ndarray, p_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -120,12 +122,13 @@ def _sweep_flags(sigma: np.ndarray, p_grid) -> tuple[np.ndarray, np.ndarray, np.
     linear = -2.0 * p + q * linear_sigma[:, None]
     nonlinear = linear - q**2 * half_means_sq[:, None]
 
-    s, u = np.linalg.eigh(partial_transpose(sigma, (2, 2)))
+    spectrum = hermitian_eigen(partial_transpose(sigma, (2, 2)))
+    s, u = spectrum.eigenvalues, spectrum.eigenvectors
     overlap = np.abs(u[:, 0, :] + u[:, 3, :]) ** 2 / 2.0  # |<u_i|phi+>|^2
     shift = p / 2.0 - NPT_THRESHOLD
     with np.errstate(divide="ignore", invalid="ignore"):
         f = p * sum(overlap[:, i, None] / (shift + q * s[:, i, None]) for i in range(4))
-    h_min = shift + q * s[:, :1]  # eigh sorts s ascending and q >= 0
+    h_min = shift + q * s[:, :1]  # s is ascending and q >= 0
 
     witness, lur, npt = _witness_detects(linear), _witness_detects(nonlinear), f > 1.0
     threshold = -WITNESS_TOL

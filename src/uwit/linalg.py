@@ -23,10 +23,11 @@ for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, ID2):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix in a
+    (..., n, n) stack, with the stack axes leading both fields.
 
-    ``eigenvalues`` are real and ascending; column ``i`` of ``eigenvectors``
-    is the unit eigenvector for ``eigenvalues[i]``.
+    ``eigenvalues[..., i]`` are real and ascending in ``i``; column ``i`` of
+    ``eigenvectors[...]`` is the unit eigenvector for ``eigenvalues[..., i]``.
     """
 
     eigenvalues: np.ndarray
@@ -87,14 +88,21 @@ def expectation(rho, m) -> float:
 
 
 def hermitian_eigen(h) -> Spectrum:
-    """Eigendecomposition of a complex Hermitian matrix by LAPACK (numpy's
-    ``eigh``), the one eigensolver every uwit decision uses.
+    """Eigendecomposition of a complex Hermitian matrix, or of each matrix in
+    a (..., n, n) stack, by one call of LAPACK (numpy's ``eigh``): the one
+    eigensolver every uwit decision uses. A slice's result does not depend
+    on the stack it sits in.
 
-    Raises NotHermitianError if the input is not Hermitian within 1e-10 or
-    has a non-finite entry, ConvergenceError if LAPACK does not converge.
+    Raises DimensionMismatchError unless the last two axes are square,
+    NotHermitianError if any matrix is not Hermitian within 1e-10 or has a
+    non-finite entry, ConvergenceError if LAPACK does not converge.
     """
-    a = _as_square(h)
-    if not hermiticity_defect(a) <= HERMITICITY_TOL:
+    a = np.asarray(h, dtype=complex)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise DimensionMismatchError(f"expected square matrices, got shape {a.shape}")
+    # a NaN or infinite entry makes its matrix's defect non-finite, which fails too
+    defects = np.linalg.norm(a - a.conj().swapaxes(-2, -1), axis=(-2, -1))
+    if not (defects <= HERMITICITY_TOL).all():
         raise NotHermitianError(f"matrix is not Hermitian within {HERMITICITY_TOL}")
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(a)

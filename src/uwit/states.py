@@ -83,7 +83,8 @@ def density_matrix_violations(m: np.ndarray) -> list[str]:
     if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
         violations.append("unit_trace")
     if "hermitian" not in violations:
-        # the same LAPACK solver as hermitian_eigen, eigenvalues only
+        # values only, as _noise_candidates decides PSD, so that every
+        # accepted noise candidate passes this check
         if float(np.linalg.eigvalsh(m)[0]) < PSD_TOL:
             violations.append("positive_semidefinite")
     return violations
@@ -275,11 +276,18 @@ def _draw_noise_block(seed: int, d: float, start: int, stop: int) -> np.ndarray:
     return sigma
 
 
+def _min_pt_eigenvalues(stack: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """The least eigenvalue of the partial transpose of each matrix in a
+    (..., n, n) stack: the one NPT kernel, which is_npt runs on a batch of
+    one and the sweep's per-p kernel on a stack of samples."""
+    return hermitian_eigen(partial_transpose(stack, dims)).eigenvalues[..., 0]
+
+
 def is_npt(rho: DensityMatrix) -> tuple[bool, float]:
-    """Whether the partial transpose has a negative eigenvalue, plus that
-    minimum eigenvalue. For two qubits NPT is equivalent to entanglement."""
-    pt = partial_transpose(rho.matrix, rho.dims)
-    min_eig = float(hermitian_eigen(pt).eigenvalues[0])
+    """Whether the partial transpose has an eigenvalue below NPT_THRESHOLD,
+    plus its minimum eigenvalue. For two qubits NPT is equivalent to
+    entanglement."""
+    min_eig = float(_min_pt_eigenvalues(rho.matrix[None], rho.dims)[0])
     return min_eig < NPT_THRESHOLD, min_eig
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import uwit
-from uwit import cli, experiments, states
+from uwit import cli, criteria, experiments, states
 from uwit.cli import main
 from uwit.errors import (
     ConvergenceError,
@@ -246,6 +246,21 @@ class TestSweep:
         assert run_cli("werner") == 5
         err = capsys.readouterr().err
         assert err.count("error: ") == 2 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_eigensolver_failure_exits_5(self, tmp_path, monkeypatch, capsys):
+        # the sweep's one eigendecomposition per block goes through
+        # hermitian_eigen; the cached collective Paulis are built first, so
+        # that the failure comes from the sweep's own call
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        criteria.collective_paulis()
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        out = tmp_path / "e.csv"
+        assert run_cli("sweep", "--workers", "1", "--samples", "20", "--out", out) == 5
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 1 and "did not converge" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_empty_grid_exits_2(self, tmp_path, capsys):

@@ -79,6 +79,10 @@ class TestObservable:
         assert np.allclose(values, [-1.0, 1.0], atol=1e-12)
         assert all(abs(np.trace(p).real - 2.0) < 1e-10 for _, p in obs.spectral)
 
+    def test_rejects_a_stack(self):
+        with pytest.raises(DimensionMismatchError):
+            Observable.from_matrix(np.array([SIGMA_Z, SIGMA_X]))
+
 
 class TestVariance:
     def test_eigenstate_has_zero_variance(self):

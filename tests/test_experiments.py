@@ -109,9 +109,9 @@ class TestDetectionSweep:
 
     @pytest.mark.parametrize("d, seed", [(0.0, 1), (0.2, 7), (0.5, 3)])
     def test_one_state_route_matches_batch_kernel_at_npt_edge(self, d, seed):
-        # is_npt and the batch kernel both ask LAPACK, so they agree 1e-9 and
-        # 1e-12 either side of each sample's NPT weight (d = 0 is the Werner
-        # line); eigh and eigvalsh may still part within a few ulps of it
+        # is_npt is the batch kernel on a batch of one, so the two agree at
+        # the adjacent floats that bracket each sample's NPT weight and 1e-12
+        # and 1e-9 either side of it (d = 0 is the Werner line)
         for i in range(6):
             sigma = sample_noise_ball(d, noise_rng(seed, i))
             if _block_flags(sigma.matrix[None], 0.0)[2][0]:
@@ -120,11 +120,11 @@ class TestDetectionSweep:
             for _ in range(64):  # bisect the kernel's NPT weight to adjacent floats
                 mid = 0.5 * (lo + hi)
                 lo, hi = (lo, mid) if _block_flags(sigma.matrix[None], mid)[2][0] else (mid, hi)
-            for side in (-1e-9, -1e-12, 1e-12, 1e-9):
-                p = min(hi * (1.0 + side), 1.0)
+            probes = [(lo, False), (hi, True)]
+            probes += [(min(hi * (1.0 + side), 1.0), side > 0) for side in (-1e-9, -1e-12, 1e-12, 1e-9)]
+            for p, expected in probes:
                 npt = _block_flags(sigma.matrix[None], p)[2][0]
-                assert is_npt(noisy_singlet(p, sigma))[0] == npt
-                assert npt == (side > 0)
+                assert is_npt(noisy_singlet(p, sigma))[0] == npt == expected
 
     def test_noise_drawn_once_per_sample(self, monkeypatch):
         keys = []

@@ -1,8 +1,9 @@
-"""Property tests: every scalar criterion is its batch kernel applied to a
-batch of one, so scalar results equal the batch results over generated
-stacks of states; the sweep's closed-form flags equal the per-p kernel's;
-the batched noise draws equal the scalar sampler's; and neither witness,
-nor pauli_lur, fires on a PPT state."""
+"""Property tests: every scalar criterion and the NPT test are their batch
+kernel applied to a batch of one, so scalar results equal the batch results
+over generated stacks of states; the least partial-transpose eigenvalue is
+invariant under local unitaries; the sweep's closed-form flags equal the
+per-p kernel's; the batched noise draws equal the scalar sampler's; and
+neither witness, nor pauli_lur, fires on a PPT state."""
 
 import numpy as np
 import pytest
@@ -37,10 +38,12 @@ from uwit.states import (
     DensityMatrix,
     NoiseBallConfig,
     _draw_noise_block,
+    _min_pt_eigenvalues,
     _noise_candidates,
     bell_diagonal_state,
     bell_states,
     in_state_tetrahedron,
+    is_npt,
     noise_rng,
     random_density_matrix,
     random_separable_state,
@@ -104,6 +107,32 @@ def test_bell_verdicts_equal_batched_decision(states):
         assert [bell_tsallis_criterion(s, q).detected for s in states] == expected
     expected = _bell_tsallis_detects(populations, 2.0).tolist()
     assert [bell_variance_criterion(s).detected for s in states] == expected
+
+
+@BOUNDED
+@given(stacks)
+def test_scalar_npt_equals_batch_kernel(states):
+    least = _min_pt_eigenvalues(np.array([s.matrix for s in states]), (2, 2))
+    assert [is_npt(s) for s in states] == [(m < NPT_THRESHOLD, m) for m in least.tolist()]
+
+
+def haar_unitary(rng, n) -> np.ndarray:
+    """Haar-random n x n unitary: QR of a Ginibre matrix, phases fixed."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@BOUNDED
+@given(stacks, st.integers(0, 2**32 - 1))
+def test_min_pt_eigenvalue_invariant_under_local_unitaries(states, seed):
+    # (U x V) rho (U x V)^dagger has partial transpose
+    # (U x V*) rho^T (U x V*)^dagger, so the spectrum does not move
+    rng = np.random.default_rng(seed)
+    rho = np.array([s.matrix for s in states])
+    local = np.array([np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2)) for _ in states])
+    rotated = local @ rho @ local.conj().transpose(0, 2, 1)
+    least = _min_pt_eigenvalues(rho, (2, 2))
+    assert np.abs(_min_pt_eigenvalues(rotated, (2, 2)) - least).max() <= 1e-12
 
 
 # 0.2886 sits just inside the separable ball (radius 1/sqrt(12)); 0.5 draws

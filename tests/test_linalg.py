@@ -113,17 +113,35 @@ class TestHermitianEigen:
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
     def test_rejects_non_hermitian(self):
+        # alone, and as one slice of a stack of Hermitian matrices
         for m in NON_HERMITIAN:
-            with pytest.raises(NotHermitianError):
-                hermitian_eigen(m)
+            for h in (m, np.array([m, SIGMA_Z, SIGMA_X]), np.array([SIGMA_Z, SIGMA_X, m])):
+                with pytest.raises(NotHermitianError):
+                    hermitian_eigen(h)
+
+    def test_stack_equals_each_slice(self):
+        rng = np.random.default_rng(23)
+        stack = np.array([[random_hermitian(rng, 4) for _ in range(3)] for _ in range(2)])
+        spec = hermitian_eigen(stack)
+        assert spec.eigenvalues.shape == (2, 3, 4) and spec.eigenvectors.shape == (2, 3, 4, 4)
+        for index in np.ndindex(stack.shape[:-2]):
+            one = hermitian_eigen(stack[index])
+            assert spec.eigenvalues[index].tobytes() == one.eigenvalues.tobytes()
+            assert spec.eigenvectors[index].tobytes() == one.eigenvectors.tobytes()
+
+    def test_rejects_non_square_input(self):
+        for shape in ((4,), (2, 3), (3, 2, 3), (2, 4, 2)):
+            with pytest.raises(DimensionMismatchError):
+                hermitian_eigen(np.zeros(shape))
 
     def test_lapack_failure_raises_convergence_error(self, monkeypatch):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
-        with pytest.raises(ConvergenceError):
-            hermitian_eigen(SIGMA_Z)
+        for h in (SIGMA_Z, np.array([SIGMA_Z, SIGMA_X])):
+            with pytest.raises(ConvergenceError):
+                hermitian_eigen(h)
 
 
 class TestPartialTranspose:
