@@ -151,12 +151,7 @@ def pauli_lur(rho: DensityMatrix) -> CriterionVerdict:
 
 @lru_cache(maxsize=1)
 def _linear_witness_matrix() -> np.ndarray:
-    return (
-        np.eye(4, dtype=complex)
-        + kron(SIGMA_X, SIGMA_X)
-        + kron(SIGMA_Y, SIGMA_Y)
-        + kron(SIGMA_Z, SIGMA_Z)
-    )
+    return np.eye(4, dtype=complex) + sum(kron(s, s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
 
 
 def _linear_witness_values(rho: np.ndarray) -> np.ndarray:
@@ -224,7 +219,7 @@ def _entropy(probs: np.ndarray, q: float):
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(probs > 0.0, probs * np.log(probs), 0.0)
         return -terms.sum(axis=-1)
-    return (1.0 - np.sum(probs**q, axis=-1)) / (q - 1.0)
+    return (1.0 - (probs**q).sum(axis=-1)) / (q - 1.0)
 
 
 def shannon_entropy(p) -> float:
@@ -296,18 +291,22 @@ def bell_populations(rho: DensityMatrix) -> np.ndarray:
     than re-checked."""
     if rho.dims != (2, 2):
         raise DimensionMismatchError(f"Bell populations require a 2x2-qubit state, got {rho.dims}")
-    return np.clip([float(np.vdot(a, rho.matrix @ a).real) for a in _BELL_AMPLITUDES], 0.0, None)
+    return np.maximum([float(np.vdot(a, rho.matrix @ a).real) for a in _BELL_AMPLITUDES], 0.0)
 
 
-def _bell_tsallis_detects(populations: np.ndarray, q: float):
-    """Whether the Tsallis entropy (Shannon at q = 1) of nonnegative Bell
-    populations (..., 4) falls below the Schmidt bound for c = 1/2. For
-    q != 1 it compares sum p^q with 2^(1-q), avoiding the 1 - sum(p^q)
-    cancellation at large q; the guard is relative because legitimate
-    detections reach absolute scales of 2^(1-q)."""
+def _bell_tsallis_detects(columns, q: float):
+    """Whether the Tsallis entropy (Shannon at q = 1) of four nonnegative Bell
+    population columns (arrays, or the rows of a (4, ...) array: a numpy
+    scalar's power rounds differently) falls below the Schmidt bound for
+    c = 1/2. For q != 1 it compares sum p^q with 2^(1-q), avoiding the
+    1 - sum(p^q) cancellation at large q; the guard is relative because
+    legitimate detections reach absolute scales of 2^(1-q)."""
+    c0, c1, c2, c3 = columns
     if q == 1.0:
-        return _detects(_entropy(populations, 1.0), schmidt_entropy_bound(BELL_SCHMIDT_SQ, 1.0))
-    power_sum = np.sum(populations**q, axis=-1)
+        entropy = _entropy(np.stack(columns, axis=-1), 1.0)
+        return _detects(entropy, schmidt_entropy_bound(BELL_SCHMIDT_SQ, 1.0))
+    # the order in which np.sum adds a length-4 axis
+    power_sum = ((c0**q + c1**q) + c2**q) + c3**q
     reference = 2.0 ** (1.0 - q)
     if q > 1.0:
         return power_sum > reference * (1.0 + DETECTION_TOL)
@@ -329,7 +328,7 @@ def bell_tsallis_criterion(rho: DensityMatrix, q: float) -> CriterionVerdict:
     threshold = schmidt_entropy_bound(BELL_SCHMIDT_SQ, q)  # checks q
     populations = bell_populations(rho)
     value = float(_entropy(populations, q))
-    detected = bool(_bell_tsallis_detects(populations, q))
+    detected = bool(_bell_tsallis_detects(populations[:, None], q)[0])
     return CriterionVerdict(value, threshold, detected, f"bell_tsallis_q{q:g}")
 
 

@@ -19,12 +19,12 @@ from .linalg import hermitian_eigen, partial_transpose
 from .states import (
     NPT_THRESHOLD,
     NoiseBallConfig,
+    _bell_columns,
     _check_weight,
     _draw_noise_block,
     _min_pt_eigenvalues,
     _octahedron_mask,
     _tetrahedron_mask,
-    bell_populations_from_coords,
     singlet_projector,
 )
 from .criteria import (
@@ -56,21 +56,24 @@ class DetectionRow:
 
 @dataclass(frozen=True)
 class GeometryScan:
-    """Vectorized result of a Bell-diagonal grid scan; geometry_scan_to_dicts
-    gives one record per cell and q."""
+    """Vectorized result of a Bell-diagonal grid scan over ``axis`` cubed;
+    geometry_scan_to_dicts gives one record per cell and q. The flags are
+    flat, with z fastest and x slowest; x, y and z are derived when read."""
 
     resolution: int
     q_values: tuple[float, ...]
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
+    axis: np.ndarray
     is_state: np.ndarray
     in_octahedron: np.ndarray
     sphere_detected: np.ndarray
     tsallis_detected: dict[float, np.ndarray]
 
     def __len__(self) -> int:
-        return self.x.size
+        return self.resolution**3
+
+    x = property(lambda self: np.repeat(self.axis, self.resolution**2))
+    y = property(lambda self: np.tile(np.repeat(self.axis, self.resolution), self.resolution))
+    z = property(lambda self: np.tile(self.axis, self.resolution**2))
 
 
 @dataclass(frozen=True)
@@ -240,19 +243,11 @@ def run_detection_sweep(
             f"{ppt_detected} PPT samples detected"
         )
 
-    rows = []
-    for p, (n_witness, n_lur, n_npt) in zip(p_grid, counts[:, :3].tolist()):
-        rows.append(
-            DetectionRow(
-                p=p,
-                fraction_witness=n_witness / config.samples,
-                fraction_lur=n_lur / config.samples,
-                fraction_npt=n_npt / config.samples,
-                samples=config.samples,
-                seed=config.seed,
-            )
-        )
-    return rows
+    n = config.samples
+    return [
+        DetectionRow(p, n_witness / n, n_lur / n, n_npt / n, n, config.seed)
+        for p, (n_witness, n_lur, n_npt) in zip(p_grid, counts[:, :3].tolist())
+    ]
 
 
 def run_geometry_scan(resolution: int = 101, q_values=(2.0, 4.0, 15.0)) -> GeometryScan:
@@ -270,29 +265,24 @@ def run_geometry_scan(resolution: int = 101, q_values=(2.0, 4.0, 15.0)) -> Geome
 
     axis = np.linspace(-1.0, 1.0, resolution)
     try:
-        gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-        x, y, z = gx.ravel(), gy.ravel(), gz.ravel()
-
-        populations = bell_populations_from_coords(np.stack([x, y, z], axis=1))
-        is_state = _tetrahedron_mask(populations)
-        in_octahedron = _octahedron_mask(populations)
-        # the decisions of bell_variance_criterion / bell_tsallis_criterion
-        clamped = np.clip(populations, 0.0, None)
-        sphere_detected = is_state & _bell_tsallis_detects(clamped, 2.0)
-        tsallis_detected = {q: is_state & _bell_tsallis_detects(clamped, q) for q in q_values}
+        columns = [c.ravel() for c in _bell_columns(axis[:, None, None], axis[:, None], axis)]
+        is_state = _tetrahedron_mask(columns)
+        in_octahedron = _octahedron_mask(columns, is_state)
+        # clamped as bell_populations clamps; the q = 2 decision is also the sphere's
+        for c in columns:
+            np.maximum(c, 0.0, out=c)
+        detected = {q: is_state & _bell_tsallis_detects(columns, q) for q in dict.fromkeys((2.0, *q_values))}
     except MemoryError as exc:  # numpy refuses an allocation it cannot make
         raise InvalidParameterError(f"resolution {resolution} needs too much memory: {exc}") from None
 
     return GeometryScan(
         resolution=resolution,
         q_values=q_values,
-        x=x,
-        y=y,
-        z=z,
+        axis=axis,
         is_state=is_state,
         in_octahedron=in_octahedron,
-        sphere_detected=sphere_detected,
-        tsallis_detected=tsallis_detected,
+        sphere_detected=detected[2.0],
+        tsallis_detected={q: detected[q] for q in q_values},
     )
 
 
@@ -341,7 +331,7 @@ def _geometry_slabs(scan: GeometryScan, number, words, field, sep, ends):
         return
     columns = GEOMETRY_CSV_HEADER.split(",")
     slab = scan.resolution**2
-    axis = [number(v) for v in scan.x[::slab]]
+    axis = [number(v) for v in scan.axis]
     q_values = [number(q) for q in scan.q_values]
 
     def tail(flags, q, detected):

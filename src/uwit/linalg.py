@@ -41,10 +41,17 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(m) -> float:
-    """Hilbert-Schmidt norm of m - m^dagger."""
-    a = _as_square(m)
-    return float(np.linalg.norm(a - a.conj().T))
+def hermiticity_defect(m):
+    """Hilbert-Schmidt norm of m - m^dagger: a float for one matrix, an array
+    of one norm per matrix for a (..., n, n) stack. A NaN or infinite entry
+    makes its matrix's defect non-finite."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise DimensionMismatchError(f"expected square matrices, got shape {a.shape}")
+    # in C order, so that the float view holds each entry's real and imaginary parts
+    parts = np.subtract(a, a.conj().swapaxes(-2, -1), order="C").view(float)
+    defects = np.sqrt(np.square(parts).sum(axis=(-2, -1)))
+    return float(defects) if a.ndim == 2 else defects
 
 
 def kron(a, b) -> np.ndarray:
@@ -98,11 +105,8 @@ def hermitian_eigen(h) -> Spectrum:
     non-finite entry, ConvergenceError if LAPACK does not converge.
     """
     a = np.asarray(h, dtype=complex)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise DimensionMismatchError(f"expected square matrices, got shape {a.shape}")
-    # a NaN or infinite entry makes its matrix's defect non-finite, which fails too
-    defects = np.linalg.norm(a - a.conj().swapaxes(-2, -1), axis=(-2, -1))
-    if not (defects <= HERMITICITY_TOL).all():
+    # a non-finite defect fails the comparison too
+    if not np.all(hermiticity_defect(a) <= HERMITICITY_TOL):
         raise NotHermitianError(f"matrix is not Hermitian within {HERMITICITY_TOL}")
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(a)

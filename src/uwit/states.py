@@ -48,7 +48,8 @@ class DensityMatrix:
     """A bipartite density matrix: Hermitian, unit trace, positive semidefinite.
 
     Invariants are checked on construction; violations raise
-    StateInvariantError naming every failed invariant.
+    StateInvariantError naming every failed invariant. The Hermitian part
+    (m + m^dagger)/2 of a valid m is kept, which is exactly Hermitian.
     """
 
     matrix: np.ndarray
@@ -67,6 +68,7 @@ class DensityMatrix:
         violations = density_matrix_violations(m)
         if violations:
             raise StateInvariantError(violations)
+        object.__setattr__(self, "matrix", (m + m.conj().T) / 2.0)
 
     @property
     def dim(self) -> int:
@@ -80,7 +82,8 @@ def density_matrix_violations(m: np.ndarray) -> list[str]:
         return ["finite_entries"]
     if hermiticity_defect(m) > HERMITICITY_TOL:
         violations.append("hermitian")
-    if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
+    trace = complex(np.trace(m))
+    if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
         violations.append("unit_trace")
     if "hermitian" not in violations:
         # values only, as _noise_candidates decides PSD, so that every
@@ -207,6 +210,7 @@ def werner_state(p: float) -> DensityMatrix:
 
 
 _NOISE_ROUND = 16  # candidates per round after a rejected first candidate
+_MAX_NOISE_ATTEMPTS = 10**6  # candidates drawn before a draw overflows
 
 
 def _noise_candidates(d: float, normals: np.ndarray, uniforms: np.ndarray):
@@ -226,20 +230,20 @@ def _noise_candidates(d: float, normals: np.ndarray, uniforms: np.ndarray):
     return sigma, accepted
 
 
-def _draw_noise_matrix(d: float, rng: np.random.Generator, max_attempts: int = 10**6) -> np.ndarray:
+def _draw_noise_matrix(d: float, rng: np.random.Generator) -> np.ndarray:
     """One 4x4 noise matrix from the radius-``d`` Hilbert-Schmidt ball around
     I/4: the first accepted of _noise_candidates drawn from ``rng``, first
     alone, then _NOISE_ROUND per round (normals, then uniforms). The last
-    round is cut so that at most ``max_attempts`` candidates are drawn."""
+    round is cut so that at most _MAX_NOISE_ATTEMPTS candidates are drawn."""
     drawn = 0
-    while drawn < max_attempts:
-        n = min(_NOISE_ROUND if drawn else 1, max_attempts - drawn)
+    while drawn < _MAX_NOISE_ATTEMPTS:
+        n = min(_NOISE_ROUND if drawn else 1, _MAX_NOISE_ATTEMPTS - drawn)
         sigma, accepted = _noise_candidates(d, rng.standard_normal((n, 2, 4, 4)), rng.uniform(size=n))
         drawn += n
         if accepted.any():
             return sigma[np.argmax(accepted)]
     raise RejectionOverflowError(
-        f"no positive-semidefinite draw in {max_attempts} attempts (d={d} too large)"
+        f"no positive-semidefinite draw in {_MAX_NOISE_ATTEMPTS} attempts (d={d} too large)"
     )
 
 
@@ -291,32 +295,39 @@ def is_npt(rho: DensityMatrix) -> tuple[bool, float]:
     return min_eig < NPT_THRESHOLD, min_eig
 
 
+def _bell_columns(x, y, z):
+    """The four Bell populations of the Bell-diagonal states with coordinates
+    x, y, z, as four arrays of their broadcast shape: the population
+    columns that the Bell decisions take."""
+    return (
+        (1.0 + x - y + z) / 4.0,
+        (1.0 - x + y + z) / 4.0,
+        (1.0 + x + y - z) / 4.0,
+        (1.0 - x - y - z) / 4.0,
+    )
+
+
 def bell_populations_from_coords(c) -> np.ndarray:
     """Bell-state populations of the Bell-diagonal state with coordinates
     ``c``: shape (4,) for one (x, y, z) triple, (..., 4) for a (..., 3) stack."""
     c = np.asarray(c, dtype=float)
     if c.shape[-1:] != (3,):
         raise DimensionMismatchError(f"coordinates need a last axis of length 3, got {c.shape}")
-    x, y, z = c[..., 0], c[..., 1], c[..., 2]
-    return np.stack(
-        [
-            (1.0 + x - y + z) / 4.0,
-            (1.0 - x + y + z) / 4.0,
-            (1.0 + x + y - z) / 4.0,
-            (1.0 - x - y - z) / 4.0,
-        ],
-        axis=-1,
-    )
+    return np.stack(_bell_columns(c[..., 0], c[..., 1], c[..., 2]), axis=-1)
 
 
-def _tetrahedron_mask(populations: np.ndarray):
-    """Whether Bell populations (..., 4) are all nonnegative, i.e. a state."""
-    return populations.min(axis=-1) >= POPULATION_TOL
+def _tetrahedron_mask(columns):
+    """Whether the four Bell population columns (arrays of one shape, such as
+    the rows of a transposed (..., 4) stack) are all nonnegative, i.e. a state."""
+    c0, c1, c2, c3 = columns
+    return np.minimum(np.minimum(c0, c1), np.minimum(c2, c3)) >= POPULATION_TOL
 
 
-def _octahedron_mask(populations: np.ndarray):
-    """Whether Bell populations (..., 4) are a state's and all at most 1/2."""
-    return _tetrahedron_mask(populations) & (populations.max(axis=-1) <= 0.5 - POPULATION_TOL)
+def _octahedron_mask(columns, is_state):
+    """Whether the four Bell population columns, whose _tetrahedron_mask is
+    ``is_state``, are a state's and all at most 1/2."""
+    c0, c1, c2, c3 = columns
+    return is_state & (np.maximum(np.maximum(c0, c1), np.maximum(c2, c3)) <= 0.5 - POPULATION_TOL)
 
 
 def bell_diagonal_state(c) -> DensityMatrix:
@@ -326,19 +337,13 @@ def bell_diagonal_state(c) -> DensityMatrix:
     coordinates lie outside the state tetrahedron.
     """
     populations = bell_populations_from_coords(c)
-    if not _tetrahedron_mask(populations):
+    if not _tetrahedron_mask(populations.T):
         raise NotPositiveError(
             f"coordinates {tuple(c)} lie outside the state set "
             f"(minimum Bell population {populations.min():g})"
         )
-    x, y, z = (float(v) for v in c)
-    m = (
-        np.eye(4, dtype=complex)
-        + x * kron(SIGMA_X, SIGMA_X)
-        + y * kron(SIGMA_Y, SIGMA_Y)
-        + z * kron(SIGMA_Z, SIGMA_Z)
-    ) / 4.0
-    return DensityMatrix(m, (2, 2))
+    terms = (float(v) * kron(s, s) for v, s in zip(c, (SIGMA_X, SIGMA_Y, SIGMA_Z)))
+    return DensityMatrix(sum(terms, np.eye(4, dtype=complex)) / 4.0, (2, 2))
 
 
 def coords_of(rho: DensityMatrix) -> BellDiagonalCoords:
@@ -354,13 +359,14 @@ def coords_of(rho: DensityMatrix) -> BellDiagonalCoords:
 
 def in_state_tetrahedron(c) -> bool:
     """True when the coordinates describe a valid (PSD) Bell-diagonal state."""
-    return bool(_tetrahedron_mask(bell_populations_from_coords(c)))
+    return bool(_tetrahedron_mask(bell_populations_from_coords(c).T))
 
 
 def in_witness_octahedron(c) -> bool:
     """True when the coordinates pass every Bell-projector witness, i.e. the
     state region where all four populations stay at or below one half."""
-    return bool(_octahedron_mask(bell_populations_from_coords(c)))
+    columns = bell_populations_from_coords(c).T
+    return bool(_octahedron_mask(columns, _tetrahedron_mask(columns)))
 
 
 def random_pure_state(dims: tuple[int, int], rng: np.random.Generator) -> PureState:

@@ -19,7 +19,16 @@ from uwit.errors import (
     StateInvariantError,
 )
 from uwit.criteria import DETECTION_TOL, WITNESS_TOL, pauli_lur
-from uwit.states import DensityMatrix, bell_states, is_npt, maximally_mixed, save_state, werner_state
+from uwit.linalg import HERMITICITY_TOL, hermiticity_defect
+from uwit.states import (
+    DensityMatrix,
+    bell_states,
+    is_npt,
+    maximally_mixed,
+    random_density_matrix,
+    save_state,
+    werner_state,
+)
 
 
 def run_cli(*argv):
@@ -149,6 +158,25 @@ class TestEvaluate:
         assert report["npt"] is True
         by_id = {c["id"]: c["detected"] for c in report["criteria"]}
         assert by_id["bell_variance"] and by_id["bell_tsallis_q1"] and by_id["bell_tsallis_q2"]
+
+    def test_state_at_the_hermiticity_edge_is_evaluated(self, tmp_path, capsys):
+        # a Ginibre state plus eps K, K anti-Hermitian, at the last eps whose
+        # defect DensityMatrix accepts: kept as given, its Tr(rho M) can have
+        # an imaginary part above the tolerance, so its Hermitian part is kept
+        rng = np.random.default_rng(4)
+        rho = random_density_matrix((2, 2), rng).matrix
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        k = g - g.conj().T
+        lo, hi = 0.0, 1.0
+        while np.nextafter(lo, hi) < hi:
+            mid = (lo + hi) / 2.0
+            lo, hi = (mid, hi) if hermiticity_defect(rho + mid * k) <= HERMITICITY_TOL else (lo, mid)
+        m = rho + lo * k
+        kept = DensityMatrix(m, (2, 2)).matrix
+        assert np.array_equal(kept, kept.conj().T)
+        state = tmp_path / "edge.json"
+        state.write_text(json.dumps({"dims": [2, 2], "re": m.real.tolist(), "im": m.imag.tolist()}))
+        assert run_cli("evaluate", state) == 0
 
 
 class TestSweep:

@@ -12,7 +12,7 @@ from uwit.criteria import (
     nonlinear_witness_value,
     pauli_lur,
 )
-from uwit.errors import InvalidParameterError, InvalidWeightError, RejectionOverflowError
+from uwit.errors import InvalidParameterError, InvalidWeightError
 from uwit.experiments import (
     DETECTION_CSV_HEADER,
     GEOMETRY_CSV_HEADER,
@@ -144,9 +144,11 @@ class TestDetectionSweep:
         config = NoiseBallConfig(d=0.5, seed=7, samples=60)
         rejected = []
         for i in range(config.samples):
-            try:
-                states._draw_noise_matrix(config.d, noise_rng(config.seed, i), max_attempts=1)
-            except RejectionOverflowError:
+            # the first candidate, drawn as _draw_noise_matrix draws it
+            rng = noise_rng(config.seed, i)
+            normals = rng.standard_normal((1, 2, 4, 4))
+            _, accepted = states._noise_candidates(config.d, normals, rng.uniform(size=1))
+            if not accepted[0]:
                 rejected.append(i)
         assert 0 < len(rejected) < config.samples
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from uwit.criteria import (
     WITNESS_TOL,
@@ -45,6 +45,7 @@ from uwit.states import (
     in_state_tetrahedron,
     is_npt,
     noise_rng,
+    noisy_singlet,
     random_density_matrix,
     random_separable_state,
     sample_noise_ball,
@@ -98,11 +99,42 @@ def test_scalar_witnesses_equal_batch_kernels(states):
     assert [nonlinear_witness_value(s).value for s in states] == nonlinear.tolist()
 
 
+EDGE_Q = (0.5, 2.0, 4.0, 15.0)
+
+
+def tsallis_edge_states() -> list[DensityMatrix]:
+    """Per q of EDGE_Q, states p |psi-><psi-| + (1 - p) sigma at the two
+    adjacent floats p where the batched Tsallis verdict flips. Each sigma is
+    a Bell state other than the singlet, mixed with a little separable
+    noise, so the flip lies near populations (1/2, 1/2, 0, 0): there every
+    Tsallis bound is tight and the power sum is stationary in p, so the last
+    bit of each power decides the verdict."""
+    edge = []
+    for q in EDGE_Q:
+        for seed in range(16):
+            rng = np.random.default_rng(seed)
+            w = 10.0 ** rng.uniform(-12.0, -4.0)
+            bell = bell_states()[seed % 3].density().matrix
+            sigma = DensityMatrix((1.0 - w) * bell + w * random_separable_state(2, rng).matrix, (2, 2))
+
+            def detected(p):
+                return _bell_tsallis_detects(bell_populations(noisy_singlet(p, sigma))[:, None], q)[0]
+
+            lo, hi = 0.5, 1.0
+            assert not detected(lo) and detected(hi)
+            while np.nextafter(lo, hi) < hi:
+                mid = (lo + hi) / 2.0
+                lo, hi = (lo, mid) if detected(mid) else (mid, hi)
+            edge += [noisy_singlet(p, sigma) for p in (lo, hi)]
+    return edge
+
+
 @BOUNDED
 @given(stacks)
+@example(tsallis_edge_states())
 def test_bell_verdicts_equal_batched_decision(states):
-    populations = np.array([bell_populations(s) for s in states])
-    for q in Q_VALUES:
+    populations = np.array([bell_populations(s) for s in states]).T
+    for q in (*Q_VALUES, *EDGE_Q):
         expected = _bell_tsallis_detects(populations, q).tolist()
         assert [bell_tsallis_criterion(s, q).detected for s in states] == expected
     expected = _bell_tsallis_detects(populations, 2.0).tolist()

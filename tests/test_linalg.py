@@ -9,6 +9,7 @@ from uwit.linalg import (
     SIGMA_Z,
     expectation,
     hermitian_eigen,
+    hermiticity_defect,
     hs_norm,
     kron,
     partial_transpose,
@@ -142,6 +143,33 @@ class TestHermitianEigen:
         for h in (SIGMA_Z, np.array([SIGMA_Z, SIGMA_X])):
             with pytest.raises(ConvergenceError):
                 hermitian_eigen(h)
+
+
+class TestHermiticityDefect:
+    def test_stack_gives_each_slice_defect(self):
+        # one formula for a matrix and a stack: a matrix's defect, and so its
+        # verdict, does not depend on the stack it sits in
+        rng = np.random.default_rng(29)
+        near = [random_hermitian(rng, 4) + 1e-11 * rng.standard_normal((4, 4)) for _ in range(6)]
+        stack = np.array(near).reshape(2, 3, 4, 4)
+        defects = hermiticity_defect(stack)
+        assert defects.shape == (2, 3)
+        for index in np.ndindex(defects.shape):
+            m = stack[index]
+            one = hermiticity_defect(m)
+            assert isinstance(one, float) and defects[index] == one
+            assert one == pytest.approx(np.linalg.norm(m - m.conj().T), rel=1e-12)
+
+    def test_non_finite_entry_gives_non_finite_defect(self):
+        for m in NON_HERMITIAN[1:]:
+            with np.errstate(invalid="ignore"):  # inf - inf
+                defects = hermiticity_defect(np.array([SIGMA_Z, m]))
+            assert defects[0] == 0.0 and not np.isfinite(defects[1])
+
+    def test_rejects_non_square_input(self):
+        for shape in ((4,), (2, 3), (3, 2, 3)):
+            with pytest.raises(DimensionMismatchError):
+                hermiticity_defect(np.zeros(shape))
 
 
 class TestPartialTranspose:

@@ -184,13 +184,14 @@ class TestNoiseBall:
         c = sample_noise_ball(0.2, noise_rng(42, 1, 3)).matrix
         assert not np.array_equal(a, c)
 
-    def test_rejection_overflow_when_ball_leaves_state_set(self):
+    def test_rejection_overflow_when_ball_leaves_state_set(self, monkeypatch):
         # at d = 0.85 nearly every draw has a negative eigenvalue
+        from uwit import states
         from uwit.errors import RejectionOverflowError
-        from uwit.states import _draw_noise_matrix
 
+        monkeypatch.setattr(states, "_MAX_NOISE_ATTEMPTS", 2)
         with pytest.raises(RejectionOverflowError):
-            _draw_noise_matrix(0.85, noise_rng(1), max_attempts=2)
+            states._draw_noise_matrix(0.85, noise_rng(1))
 
     def test_negative_radius_rejected(self):
         with pytest.raises(InvalidParameterError):
