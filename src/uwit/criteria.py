@@ -212,13 +212,16 @@ def measurement_distribution(rho: DensityMatrix, m: Observable) -> np.ndarray:
     return np.clip([expectation(rho.matrix, projector) for _, projector in m.spectral], 0.0, None)
 
 
+def _shannon_terms(probs):
+    """p ln p for each entry p of a nonnegative array, with 0 ln 0 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(probs > 0.0, probs * np.log(probs), 0.0)
+
+
 def _entropy(probs: np.ndarray, q: float):
-    """Tsallis entropy of nonnegative distributions over the last axis,
-    Shannon at q = 1 (with 0 ln 0 = 0)."""
+    """Tsallis entropy of nonnegative distributions over the last axis, Shannon at q = 1."""
     if q == 1.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(probs > 0.0, probs * np.log(probs), 0.0)
-        return -terms.sum(axis=-1)
+        return -_shannon_terms(probs).sum(axis=-1)
     return (1.0 - (probs**q).sum(axis=-1)) / (q - 1.0)
 
 
@@ -295,22 +298,21 @@ def bell_populations(rho: DensityMatrix) -> np.ndarray:
 
 
 def _bell_tsallis_detects(columns, q: float):
-    """Whether the Tsallis entropy (Shannon at q = 1) of four nonnegative Bell
-    population columns (arrays, or the rows of a (4, ...) array: a numpy
-    scalar's power rounds differently) falls below the Schmidt bound for
-    c = 1/2. For q != 1 it compares sum p^q with 2^(1-q), avoiding the
-    1 - sum(p^q) cancellation at large q; the guard is relative because
-    legitimate detections reach absolute scales of 2^(1-q)."""
+    """The one Bell-entropy kernel: for four nonnegative Bell population
+    columns (arrays, or the rows of a (4, ...) array: a numpy scalar's power
+    rounds differently), whether the Tsallis entropy (Shannon at q = 1) is
+    below the Schmidt bound for c = 1/2, and the sum of p^q (p ln p at
+    q = 1), added as np.sum adds a length-4 axis. For q != 1 the verdict
+    compares sum p^q with 2^(1-q), avoiding the 1 - sum(p^q) cancellation
+    at large q; the guard is relative as detections reach 2^(1-q) scales."""
     c0, c1, c2, c3 = columns
-    if q == 1.0:
-        entropy = _entropy(np.stack(columns, axis=-1), 1.0)
-        return _detects(entropy, schmidt_entropy_bound(BELL_SCHMIDT_SQ, 1.0))
-    # the order in which np.sum adds a length-4 axis
-    power_sum = ((c0**q + c1**q) + c2**q) + c3**q
-    reference = 2.0 ** (1.0 - q)
-    if q > 1.0:
-        return power_sum > reference * (1.0 + DETECTION_TOL)
-    return power_sum < reference * (1.0 - DETECTION_TOL)
+    term = _shannon_terms if q == 1.0 else (lambda c: c**q)
+    total = ((term(c0) + term(c1)) + term(c2)) + term(c3)
+    if q < 1.0:
+        return total < 2.0 ** (1.0 - q) * (1.0 - DETECTION_TOL), total
+    if q == 1.0:  # the entropy -total below the bound
+        return total > DETECTION_TOL - schmidt_entropy_bound(BELL_SCHMIDT_SQ, 1.0), total
+    return total > 2.0 ** (1.0 - q) * (1.0 + DETECTION_TOL), total
 
 
 def bell_variance_criterion(rho: DensityMatrix) -> CriterionVerdict:
@@ -326,10 +328,9 @@ def bell_tsallis_criterion(rho: DensityMatrix, q: float) -> CriterionVerdict:
     Schmidt bound for c = 1/2; strengthens with growing q and reproduces the
     Bell-variance test at q = 2."""
     threshold = schmidt_entropy_bound(BELL_SCHMIDT_SQ, q)  # checks q
-    populations = bell_populations(rho)
-    value = float(_entropy(populations, q))
-    detected = bool(_bell_tsallis_detects(populations[:, None], q)[0])
-    return CriterionVerdict(value, threshold, detected, f"bell_tsallis_q{q:g}")
+    detected, total = _bell_tsallis_detects(bell_populations(rho)[:, None], q)
+    value = -total[0] if q == 1.0 else (1.0 - total[0]) / (q - 1.0)
+    return CriterionVerdict(float(value), threshold, bool(detected[0]), f"bell_tsallis_q{q:g}")
 
 
 def _linear_witness_verdicts(rho: DensityMatrix, q_values) -> list[CriterionVerdict]:

@@ -271,7 +271,7 @@ def run_geometry_scan(resolution: int = 101, q_values=(2.0, 4.0, 15.0)) -> Geome
         # clamped as bell_populations clamps; the q = 2 decision is also the sphere's
         for c in columns:
             np.maximum(c, 0.0, out=c)
-        detected = {q: is_state & _bell_tsallis_detects(columns, q) for q in dict.fromkeys((2.0, *q_values))}
+        detected = {q: is_state & _bell_tsallis_detects(columns, q)[0] for q in dict.fromkeys((2.0, *q_values))}
     except MemoryError as exc:  # numpy refuses an allocation it cannot make
         raise InvalidParameterError(f"resolution {resolution} needs too much memory: {exc}") from None
 

@@ -489,6 +489,7 @@ class TestParameterBoundary:
             ("gen-state", "bell", "inf"),
             ("gen-state", "random-separable", "nan"),
             ("gen-state", "random-separable", "inf"),
+            ("gen-state", "random-separable", str(states._MAX_SEPARABLE_COMPONENTS + 1)),
             ("evaluate", "STATE", "--q", "nan"),
             ("evaluate", "STATE", "--q", "inf"),
             ("geometry", "--resolution", "3", "--q", "nan"),

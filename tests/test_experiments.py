@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -380,6 +381,19 @@ class TestGeometryScan:
         write_geometry_json(scan, tmp_path / "geometry.json")
         assert (tmp_path / "geometry.csv").read_bytes() == csv_text.encode()
         assert (tmp_path / "geometry.json").read_bytes() == json_text.encode()
+
+    def test_shannon_scan_stays_in_columns(self):
+        # q = 1 takes its terms column by column as the power sums do, so it
+        # holds no (N, 4) copy of the populations
+        def peak(q):
+            tracemalloc.start()
+            try:
+                run_geometry_scan(41, (q,))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1.0) <= 1.3 * peak(2.0)
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):

@@ -1,12 +1,15 @@
 """Property tests: every scalar criterion and the NPT test are their batch
 kernel applied to a batch of one, so scalar results equal the batch results
 over generated stacks of states; the least partial-transpose eigenvalue is
-invariant under local unitaries; the sweep's closed-form flags equal the
+invariant under local unitaries; coordinates read from a validated state
+equal the checked expectation values; the sweep's closed-form flags equal the
 per-p kernel's; the batched noise draws equal the scalar sampler's; and
 neither witness, nor pauli_lur, fires on a PPT state."""
 
 import numpy as np
 import pytest
+
+import uwit.states
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
@@ -14,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from uwit.criteria import (
     WITNESS_TOL,
     _bell_tsallis_detects,
+    _entropy,
     _linear_witness_values,
     _nonlinear_witness_values,
     _witness_detects,
@@ -31,7 +35,7 @@ from uwit.experiments import (
     evaluate_detection_flags,
     run_detection_sweep,
 )
-from uwit.linalg import partial_transpose
+from uwit.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, expectation, kron, partial_transpose
 from uwit.states import (
     NPT_THRESHOLD,
     PSD_TOL,
@@ -42,6 +46,7 @@ from uwit.states import (
     _noise_candidates,
     bell_diagonal_state,
     bell_states,
+    coords_of,
     in_state_tetrahedron,
     is_npt,
     noise_rng,
@@ -118,7 +123,7 @@ def tsallis_edge_states() -> list[DensityMatrix]:
             sigma = DensityMatrix((1.0 - w) * bell + w * random_separable_state(2, rng).matrix, (2, 2))
 
             def detected(p):
-                return _bell_tsallis_detects(bell_populations(noisy_singlet(p, sigma))[:, None], q)[0]
+                return _bell_tsallis_detects(bell_populations(noisy_singlet(p, sigma))[:, None], q)[0][0]
 
             lo, hi = 0.5, 1.0
             assert not detected(lo) and detected(hi)
@@ -135,10 +140,27 @@ def tsallis_edge_states() -> list[DensityMatrix]:
 def test_bell_verdicts_equal_batched_decision(states):
     populations = np.array([bell_populations(s) for s in states]).T
     for q in (*Q_VALUES, *EDGE_Q):
-        expected = _bell_tsallis_detects(populations, q).tolist()
-        assert [bell_tsallis_criterion(s, q).detected for s in states] == expected
-    expected = _bell_tsallis_detects(populations, 2.0).tolist()
-    assert [bell_variance_criterion(s).detected for s in states] == expected
+        verdicts = [bell_tsallis_criterion(s, q) for s in states]
+        assert [v.detected for v in verdicts] == _bell_tsallis_detects(populations, q)[0].tolist()
+        # the row-form entropy is the independent oracle of the values
+        assert [v.value for v in verdicts] == [float(_entropy(p, q)) for p in populations.T]
+    verdicts = [bell_variance_criterion(s) for s in states]
+    assert [v.detected for v in verdicts] == _bell_tsallis_detects(populations, 2.0)[0].tolist()
+    assert [v.value for v in verdicts] == [float(_entropy(p, 2.0)) for p in populations.T]
+
+
+@BOUNDED
+@given(stacks)
+def test_coords_read_the_validated_state(states):
+    checked = [tuple(expectation(s.matrix, kron(m, m)) for m in (SIGMA_X, SIGMA_Y, SIGMA_Z)) for s in states]
+
+    def refuse(*args):
+        raise AssertionError("coords_of re-checked a validated state")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("expectation", "hermiticity_defect"):
+            patch.setattr(uwit.states, name, refuse, raising=False)
+        assert [tuple(coords_of(s)) for s in states] == checked
 
 
 @BOUNDED
