@@ -277,7 +277,7 @@ def _cmd_sweep(args) -> None:
     out = f"sweep.{args.format}" if args.out is None else args.out
     write = write_detection_csv if args.format == "csv" else write_detection_json
     _save(out, lambda path: write(rows, path))
-    workers = sweep_workers(args.samples, args.workers)
+    workers = sweep_workers(config, args.workers)
     print(
         f"sweep: wrote {len(rows)} rows to {out} "
         f"(d={args.d:g}, samples={args.samples}, seed={seed}, workers={workers})"

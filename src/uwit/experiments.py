@@ -37,6 +37,14 @@ from .criteria import (
 )
 
 _BLOCK = 256
+# A sweep runs in process unless the time a pool would save exceeds the
+# pool's start-up (forking, sending the tasks, shutting down). Inside the
+# separable ball no first candidate is rejected, so the in-process time is
+# about _SAMPLE_S per sample; with 2 workers the pool pays from about 4,000
+# samples (2 cores, default 21-point grid, `uwit sweep` run end to end).
+_SAMPLE_S = 24e-6
+_POOL_START_S = 0.05
+_SEPARABLE_RADIUS = 1.0 / np.sqrt(12.0)
 # closed-form sweep decisions this close to a threshold are re-decided per p
 _GUARD = 1e-7
 _SINGLET = singlet_projector()
@@ -185,11 +193,15 @@ def evaluate_detection_flags(config: NoiseBallConfig, p: float, p_index: int):
     return _block_flags(_draw_noise_block(config.seed, config.d, 0, config.samples), p)
 
 
-def sweep_workers(samples: int, workers: int) -> int:
-    """How many processes a sweep of ``samples`` samples runs on when asked
-    for ``workers``: 1 means in process. The pool forks all its workers up
-    front, so it gets at most one per block of samples."""
-    return max(1, min(workers, -(-samples // _BLOCK)))
+def sweep_workers(config: NoiseBallConfig, workers: int) -> int:
+    """How many processes the sweep of ``config`` runs on when ``workers`` is
+    its cap: 1 means in process. The pool forks all its workers up front, so
+    it gets at most one per block of samples. Inside the separable ball it
+    runs only when the time it saves, the projected in-process time less
+    that time shared out among the workers, exceeds its start-up."""
+    workers = max(1, min(workers, -(-config.samples // _BLOCK)))
+    saved = config.samples * _SAMPLE_S * (1.0 - 1.0 / workers)
+    return 1 if config.d <= _SEPARABLE_RADIUS and saved <= _POOL_START_S else workers
 
 
 def default_p_grid() -> list[float]:
@@ -227,7 +239,7 @@ def run_detection_sweep(
         for start in range(0, config.samples, _BLOCK)
     ]
 
-    workers = sweep_workers(config.samples, workers)
+    workers = sweep_workers(config, workers)
     if workers == 1:
         results = map(_block_counts, tasks)
     else:

@@ -6,6 +6,7 @@ test, and JSON (de)serialization."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -222,7 +223,9 @@ def _noise_candidates(d: float, normals: np.ndarray, uniforms: np.ndarray):
     x = normals[:, 0] + 1j * normals[:, 1]
     h = (x + x.conj().transpose(0, 2, 1)) / 2.0
     g = h - (np.trace(h, axis1=1, axis2=2).real / 4.0)[:, None, None] * eye4
-    norms = [float(np.linalg.norm(m)) for m in g]
+    # the two strided dots np.linalg.norm takes of each matrix, so the same bits
+    n = len(g)
+    norms = [math.sqrt(r.dot(r) + i.dot(i)) for r, i in zip(g.real.reshape(n, 16), g.imag.reshape(n, 16))]
     radii = [d * u ** (1.0 / 15.0) for u in uniforms.tolist()]
     scale = [r / norm if norm >= 1e-12 else 0.0 for r, norm in zip(radii, norms)]
     sigma = eye4 / 4.0 + np.array(scale)[:, None, None] * g
@@ -259,21 +262,83 @@ def noise_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constants of ``calls`` successive SeedSequence hashes whose constant
+    starts at ``init`` and is multiplied by ``mult`` in each call: the one the
+    word is xored with, and the one it is then multiplied by, as (calls, 1)
+    uint32 columns."""
+    h = [init]
+    for _ in range(calls):
+        h.append(h[-1] * mult & 0xFFFFFFFF)
+    return np.array(h[:-1], dtype=np.uint32)[:, None], np.array(h[1:], dtype=np.uint32)[:, None]
+
+
+# numpy's SeedSequence with its pool of 4 words: 16 hashes mix the entropy
+# into the pool, 8 more generate the 4 uint64 words that seed PCG64
+_MIX_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_128 = (1 << 128) - 1
+
+
+def _seed_hash(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of uint32 words, row by row, with wraparound."""
+    words = (words ^ xor) * mult
+    return words ^ (words >> 16)
+
+
+def _pcg64_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) of noise_rng(seed, i) for every i in [start,
+    stop), stop <= 2^64, computed for all keys at once from numpy's
+    documented algorithms: SeedSequence over the key's uint32 words, then
+    PCG64's seeding step (O'Neill, HMC-CS-2014-0905)."""
+    seed &= _SEED_MASK
+    i = np.arange(start, stop, dtype=np.uint64)
+    # A key of (seed, i) has at most 4 words, the pool size, and SeedSequence
+    # pads a shorter key with zero words, so the high word of an i below 2^32
+    # may stay in as a zero: the keys of a block are one (4, n) batch.
+    seed_words = [seed & 0xFFFFFFFF] + ([seed >> 32] if seed >> 32 else [])
+    key = [np.full(len(i), w, dtype=np.uint32) for w in seed_words]
+    key += [i.astype(np.uint32), (i >> 32).astype(np.uint32), np.zeros(len(i), dtype=np.uint32)]
+    pool = _seed_hash(np.stack(key[:4]), *(c[:4] for c in _MIX_HASH))
+    for k in range(4):
+        # pool word k, hashed once for each other word, is mixed into it
+        others = [j for j in range(4) if j != k]
+        hashed = _seed_hash(pool[k], *(c[4 + 3 * k : 7 + 3 * k] for c in _MIX_HASH))
+        mixed = 0xCA01F9DD * pool[others] - 0x4973F715 * hashed  # SeedSequence's mix
+        pool[others] = mixed ^ (mixed >> 16)
+    out = _seed_hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_STATE_HASH).astype(np.uint64)
+    # little-endian word pairs give the uint64s (s0, s1, i0, i1), and PCG64
+    # seeds itself with state s0:s1 and stream i0:i1, as 128-bit integers
+    states = []
+    for s0, s1, i0, i1 in zip(*(out[0::2] | out[1::2] << 32).tolist()):
+        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK_128
+        states.append((((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK_128, inc))
+    return states
+
+
 def _draw_noise_block(seed: int, d: float, start: int, stop: int) -> np.ndarray:
     """Noise matrices sigma_i = sample_noise_ball(d, noise_rng(seed, i)).matrix
-    for i in [start, stop), with all first candidates built as one batch. A
-    sample whose first candidate is rejected is redrawn by _draw_noise_matrix
-    on a fresh stream with the same key, which replays that candidate."""
+    for i in [start, stop), with all first candidates built as one batch. The
+    keys are seeded by _pcg64_states, each on one reused generator. A sample
+    whose first candidate is rejected is redrawn by _draw_noise_matrix on
+    noise_rng(seed, i), which replays that candidate."""
     n = stop - start
     if d == 0.0:
         return np.tile(np.eye(4, dtype=complex) / 4.0, (n, 1, 1))
     normals = np.empty((n, 2, 4, 4))
     uniforms = np.empty(n)
-    # one generator at a time: a block's worth of them would hold about 1 MB
-    for j, i in enumerate(range(start, stop)):
-        rng = noise_rng(seed, i)
-        normals[j] = rng.standard_normal((2, 4, 4))
-        uniforms[j] = rng.uniform()
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for j, (state, inc) in enumerate(_pcg64_states(seed, start, stop)):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        rng.standard_normal(out=normals[j])
+        uniforms[j] = rng.random()  # uniform() is 0 + 1 * random(): the same bits
     sigma, accepted = _noise_candidates(d, normals, uniforms)
     for j in np.flatnonzero(~accepted):
         sigma[j] = _draw_noise_matrix(d, noise_rng(seed, start + j))

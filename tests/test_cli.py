@@ -233,11 +233,26 @@ class TestSweep:
         assert "UWIT_SEED must be an integer" in capsys.readouterr().err
         assert run_cli("gen-state", kind, *params, "--seed", "1", "--out", tmp_path / "s.json") == 0
 
-    def test_summary_reports_the_workers_used(self, tmp_path, capsys):
-        # 5 samples fill one block, so the sweep runs in process
+    def test_summary_reports_the_workers_used(self, tmp_path, monkeypatch, capsys):
+        # 5 samples fill one block, and the default 2000 do not repay a pool,
+        # so both run in process; 5000 samples do, and the pool really starts
+        started = []
+        real_pool = experiments._process_pool
+
+        def spied_pool(workers):
+            started.append(workers)
+            return real_pool(workers)
+
+        monkeypatch.setattr(experiments, "_process_pool", spied_pool)
         out = tmp_path / "w.csv"
         assert run_cli("sweep", "--samples", "5", "--p-grid", "0.5", "--workers", "2", "--out", out) == 0
         assert "workers=1)" in capsys.readouterr().out
+        assert run_cli("sweep", "--seed", "1", "--workers", "2", "--out", out) == 0
+        assert "samples=2000, seed=1, workers=1)" in capsys.readouterr().out
+        assert started == []
+        assert run_cli("sweep", "--samples", "5000", "--p-grid", "0.5", "--seed", "1", "--workers", "2", "--out", out) == 0
+        assert "samples=5000, seed=1, workers=2)" in capsys.readouterr().out
+        assert started == [2]
 
     def test_bad_grid_exits_2(self, tmp_path):
         assert run_cli("sweep", "--samples", "5", "--p-grid", "0.5,2", "--out", tmp_path / "f.csv") == 2

@@ -24,8 +24,10 @@ from uwit.experiments import (
     geometry_scan_to_dicts,
     run_detection_sweep,
     run_geometry_scan,
+    sweep_workers,
     werner_thresholds,
     write_detection_csv,
+    write_detection_json,
     write_geometry_csv,
     write_geometry_json,
 )
@@ -128,17 +130,22 @@ class TestDetectionSweep:
                 assert is_npt(noisy_singlet(p, sigma))[0] == npt == expected
 
     def test_noise_drawn_once_per_sample(self, monkeypatch):
-        keys = []
-        keyed = states.noise_rng
+        # every (seed, i) is keyed exactly once, by the batch keying; inside
+        # the separable ball no first candidate is redrawn through noise_rng
+        keys, rebuilt = [], []
+        batch_keys = states._pcg64_states
 
-        def counting_rng(seed, *stream):
-            keys.append((seed, *stream))
-            return keyed(seed, *stream)
+        def counting_keys(seed, start, stop):
+            keys.extend((seed, i) for i in range(start, stop))
+            return batch_keys(seed, start, stop)
 
-        monkeypatch.setattr(states, "noise_rng", counting_rng)
+        monkeypatch.setattr(states, "_pcg64_states", counting_keys)
+        monkeypatch.setattr(states, "noise_rng", lambda *key: rebuilt.append(key))
+        monkeypatch.setattr(experiments, "_BLOCK", 64)
         run_detection_sweep(SMALL, [0.0, 0.25, 0.5, 0.75, 1.0], workers=1)
         assert len(keys) == SMALL.samples
         assert sorted(keys) == [(SMALL.seed, i) for i in range(SMALL.samples)]
+        assert rebuilt == []
 
     def test_only_rejected_first_candidates_redrawn(self, monkeypatch):
         # outside the separable ball many first candidates fail the PSD check
@@ -204,7 +211,8 @@ class TestDetectionSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        config = NoiseBallConfig(d=0.2, seed=7, samples=20)
+        # outside the separable ball the pool runs whenever there are two blocks
+        config = NoiseBallConfig(d=0.5, seed=7, samples=20)
         expected = run_detection_sweep(config, [0.3, 0.6], workers=1)
         monkeypatch.setattr(experiments, "_process_pool", InProcessPool)
         monkeypatch.setattr(experiments, "_BLOCK", 7)
@@ -216,10 +224,45 @@ class TestDetectionSweep:
         def no_pool(max_workers):
             raise AssertionError("a one-block sweep started a process pool")
 
-        config = NoiseBallConfig(d=0.2, seed=7, samples=20)
+        config = NoiseBallConfig(d=0.5, seed=7, samples=20)
         expected = run_detection_sweep(config, [0.3, 0.6], workers=1)
         monkeypatch.setattr(experiments, "_process_pool", no_pool)
         assert run_detection_sweep(config, [0.3, 0.6], workers=64) == expected
+
+    def test_pool_only_where_it_pays(self):
+        # workers is a cap; inside the separable ball the pool needs enough
+        # samples to repay its start-up, outside it two blocks suffice
+        inside, outside = 0.2886, 0.2887  # 1/sqrt(12) = 0.288675...
+        assert sweep_workers(NoiseBallConfig(d=0.2, samples=2000), 2) == 1
+        assert sweep_workers(NoiseBallConfig(d=inside, samples=4000), 2) == 1
+        assert sweep_workers(NoiseBallConfig(d=inside, samples=5000), 2) == 2
+        assert sweep_workers(NoiseBallConfig(d=0.2, samples=5000), 64) == 20
+        assert sweep_workers(NoiseBallConfig(d=0.2, samples=5000), 1) == 1
+        assert sweep_workers(NoiseBallConfig(d=outside, samples=257), 2) == 2
+        assert sweep_workers(NoiseBallConfig(d=outside, samples=256), 2) == 1
+
+    @pytest.mark.parametrize("d, samples", [(0.2, 5000), (0.5, 300)])
+    def test_real_pool_gives_in_process_bytes(self, tmp_path, monkeypatch, d, samples):
+        # a ProcessPoolExecutor sweep that the rule chooses, against the same
+        # sweep in process, in both output formats
+        config = NoiseBallConfig(d=d, seed=-11, samples=samples)
+        grid = [0.0, 0.3, 0.6, 1.0]
+        assert sweep_workers(config, 2) == 2
+        started = []
+        real_pool = experiments._process_pool
+
+        def spied_pool(workers):
+            started.append(workers)
+            return real_pool(workers)
+
+        monkeypatch.setattr(experiments, "_process_pool", spied_pool)
+        for name, workers in (("pooled", 2), ("in_process", 1)):
+            rows = run_detection_sweep(config, grid, workers=workers)
+            write_detection_csv(rows, tmp_path / f"{name}.csv")
+            write_detection_json(rows, tmp_path / f"{name}.json")
+        assert started == [2]
+        for suffix in ("csv", "json"):
+            assert (tmp_path / f"pooled.{suffix}").read_bytes() == (tmp_path / f"in_process.{suffix}").read_bytes()
 
     def test_empty_grid_raises_before_drawing(self, monkeypatch):
         def no_draw(*args):

@@ -292,6 +292,44 @@ def test_block_draw_is_scalar_sampler_draw(seed, i, d):
         assert accepted[0] and sigma.tobytes() == first[0].tobytes()
 
 
+# keys with negative seeds, seeds of one and two words and beyond 64 bits, and
+# indices of one and two words, across 2^32 and up to 2^64 - 1
+key_seeds = st.one_of(
+    st.integers(-(2**70), 0), st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**80)
+)
+key_starts = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 8))
+
+
+@BOUNDED
+@given(key_seeds, key_starts, st.integers(1, 8))
+@example(0, 2**32 - 4, 8)
+@example(2**64 + 5, 2**64 - 8, 8)
+def test_batch_keying_is_seed_sequence_keying(seed, start, n):
+    # a numpy change to SeedSequence or to PCG64 seeding fails here
+    mask = 2**64 - 1
+    for i, (state, inc) in zip(range(start, start + n), uwit.states._pcg64_states(seed, start, start + n)):
+        expected = np.random.default_rng(np.random.SeedSequence([seed & mask, i & mask])).bit_generator.state
+        assert expected["state"] == {"state": state, "inc": inc}
+        assert (expected["has_uint32"], expected["uinteger"]) == (0, 0)
+
+
+@BOUNDED
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from((0.2, 0.5)))
+def test_noise_candidates_use_linalg_norm(seed, n, d):
+    # the candidates equal the formula with np.linalg.norm taken per matrix
+    rng = np.random.default_rng(seed)
+    normals, uniforms = rng.standard_normal((n, 2, 4, 4)), rng.uniform(size=n)
+    sigma, accepted = _noise_candidates(d, normals, uniforms)
+    for k in range(n):
+        x = normals[k, 0] + 1j * normals[k, 1]
+        h = (x + x.conj().T) / 2.0
+        g = h - np.trace(h).real / 4.0 * np.eye(4)
+        norm = float(np.linalg.norm(g))
+        expected = np.eye(4) / 4.0 + (d * float(uniforms[k]) ** (1.0 / 15.0) / norm) * g
+        assert sigma[k].tobytes() == expected.tobytes()
+        assert accepted[k] == (np.linalg.eigvalsh(expected)[0] >= PSD_TOL)
+
+
 def mixed_to_ppt_edge(seed, rank, weight, bell_diagonal, target) -> np.ndarray:
     """A random rank-``rank`` state given singlet weight ``weight``, optionally
     dephased to its Bell-diagonal part, then mixed with I/4 until the least
