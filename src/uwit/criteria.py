@@ -31,10 +31,11 @@ from .linalg import (
     hermitian_eigen,
     kron,
 )
-from .states import _BELL_AMPLITUDES, NPT_THRESHOLD, DensityMatrix
+from .states import _BELL_AMPLITUDES, _CORRELATORS, NPT_THRESHOLD, DensityMatrix
 
 DEGENERACY_TOL = 1e-8
 PROBABILITY_TOL = -1e-12
+PROBABILITY_SUM_TOL = 1e-9
 
 # Pure product states sit exactly on the collective-Pauli variance boundary,
 # so a bare float comparison against the threshold would flag half of them
@@ -112,15 +113,13 @@ def _witness_detects(value):
     return value < -WITNESS_TOL
 
 
-def _observable_matrix(m) -> np.ndarray:
-    return m.matrix if isinstance(m, Observable) else np.asarray(m, dtype=complex)
-
-
 def variance(rho: DensityMatrix, m) -> float:
-    """Variance <M^2> - <M>^2 of an observable in a state (clamped at 0)."""
-    mat = _observable_matrix(m)
+    """Variance <M^2> - <M>^2 of an observable in a state (clamped at 0).
+    <M^2> is read from the pair that expectation checked, with expectation's
+    einsum and no second check: M^2 is Hermitian only up to roundoff."""
+    mat = m.matrix if isinstance(m, Observable) else np.asarray(m, dtype=complex)
     mean = expectation(rho.matrix, mat)
-    second = expectation(rho.matrix, mat @ mat)
+    second = complex(np.einsum("ij,ji->", rho.matrix, mat @ mat)).real
     return max(second - mean * mean, 0.0)
 
 
@@ -149,14 +148,13 @@ def pauli_lur(rho: DensityMatrix) -> CriterionVerdict:
     return CriterionVerdict(value, 4.0, _witness_detects((value - 4.0) / 2.0), "pauli_lur")
 
 
-@lru_cache(maxsize=1)
-def _linear_witness_matrix() -> np.ndarray:
-    return np.eye(4, dtype=complex) + sum(kron(s, s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+_LINEAR_WITNESS = np.eye(4, dtype=complex) + sum(_CORRELATORS)
+_LINEAR_WITNESS.setflags(write=False)
 
 
 def _linear_witness_values(rho: np.ndarray) -> np.ndarray:
     """Tr(rho W), W = I + XX + YY + ZZ, over an (n, 4, 4) stack of states."""
-    return np.einsum("nij,ji->n", rho, _linear_witness_matrix()).real
+    return np.einsum("nij,ji->n", rho, _LINEAR_WITNESS).real
 
 
 def _nonlinear_witness_values(rho: np.ndarray, linear) -> np.ndarray:
@@ -191,7 +189,7 @@ def _clean_distribution(p) -> np.ndarray:
             f"probabilities must be >= {PROBABILITY_TOL}, got minimum {probs.min():g}"
         )
     probs = np.clip(probs, 0.0, None)
-    if abs(float(probs.sum()) - 1.0) > 1e-9:
+    if abs(float(probs.sum()) - 1.0) > PROBABILITY_SUM_TOL:
         raise InvalidParameterError(f"probabilities must sum to 1, got {probs.sum()!r}")
     return probs
 

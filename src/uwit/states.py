@@ -37,6 +37,7 @@ from .linalg import (
 NPT_THRESHOLD = -1e-9
 
 TRACE_TOL = 1e-10
+UNIT_NORM_TOL = 1e-12
 PSD_TOL = -1e-9
 POPULATION_TOL = -1e-12
 
@@ -108,7 +109,7 @@ class PureState:
             raise DimensionMismatchError(
                 f"dims {self.dims} do not factor vector length {a.size}"
             )
-        if abs(np.linalg.norm(a) - 1.0) > 1e-12:
+        if abs(np.linalg.norm(a) - 1.0) > UNIT_NORM_TOL:
             raise StateInvariantError(["unit_norm"])
 
     def density(self) -> DensityMatrix:
@@ -155,6 +156,10 @@ class NoiseBallConfig:
             raise InvalidParameterError(f"samples must be positive, got {self.samples}")
 
 
+# the correlators sigma_i x sigma_i (i = x, y, z), built once
+_CORRELATORS = np.array([kron(s, s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+_CORRELATORS.setflags(write=False)
+
 _BELL_AMPLITUDES = (
     np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0),
     np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2.0),
@@ -188,12 +193,9 @@ def maximally_mixed(dims: tuple[int, int] = (2, 2)) -> DensityMatrix:
 
 def schmidt_coefficients(psi: PureState) -> np.ndarray:
     """Schmidt coefficients (descending singular values of the amplitude matrix);
-    their squares sum to one."""
+    their squares sum to one, as the validated PureState has unit norm."""
     da, db = psi.dims
-    coeffs = np.linalg.svd(psi.amplitudes.reshape(da, db), compute_uv=False)
-    if abs(float(np.sum(coeffs**2)) - 1.0) > 1e-10:
-        raise StateInvariantError(["unit_norm"])
-    return coeffs
+    return np.linalg.svd(psi.amplitudes.reshape(da, db), compute_uv=False)
 
 
 def noisy_singlet(p: float, sigma: DensityMatrix) -> DensityMatrix:
@@ -210,6 +212,7 @@ def werner_state(p: float) -> DensityMatrix:
 
 
 _NOISE_ROUND = 16  # candidates per round after a rejected first candidate
+_NOISE_NORM_FLOOR = 1e-12  # a candidate G with a smaller norm is not scaled, and is rejected
 _MAX_NOISE_ATTEMPTS = 10**6  # candidates drawn before a draw overflows
 _MAX_SEPARABLE_COMPONENTS = 20_000  # about 50 us each, so random_separable_state takes about 1 s
 
@@ -227,9 +230,9 @@ def _noise_candidates(d: float, normals: np.ndarray, uniforms: np.ndarray):
     n = len(g)
     norms = [math.sqrt(r.dot(r) + i.dot(i)) for r, i in zip(g.real.reshape(n, 16), g.imag.reshape(n, 16))]
     radii = [d * u ** (1.0 / 15.0) for u in uniforms.tolist()]
-    scale = [r / norm if norm >= 1e-12 else 0.0 for r, norm in zip(radii, norms)]
+    scale = [r / norm if norm >= _NOISE_NORM_FLOOR else 0.0 for r, norm in zip(radii, norms)]
     sigma = eye4 / 4.0 + np.array(scale)[:, None, None] * g
-    accepted = (np.linalg.eigvalsh(sigma)[:, 0] >= PSD_TOL) & (np.array(norms) >= 1e-12)
+    accepted = (np.linalg.eigvalsh(sigma)[:, 0] >= PSD_TOL) & (np.array(norms) >= _NOISE_NORM_FLOOR)
     return sigma, accepted
 
 
@@ -407,7 +410,7 @@ def bell_diagonal_state(c) -> DensityMatrix:
             f"coordinates {tuple(c)} lie outside the state set "
             f"(minimum Bell population {populations.min():g})"
         )
-    terms = (float(v) * kron(s, s) for v, s in zip(c, (SIGMA_X, SIGMA_Y, SIGMA_Z)))
+    terms = (float(v) * m for v, m in zip(c, _CORRELATORS))
     return DensityMatrix(sum(terms, np.eye(4, dtype=complex)) / 4.0, (2, 2))
 
 
@@ -416,9 +419,7 @@ def coords_of(rho: DensityMatrix) -> BellDiagonalCoords:
     if rho.dims != (2, 2):
         raise DimensionMismatchError(f"coordinates require a 2x2-qubit state, got {rho.dims}")
     # expectation's einsum without its checks: rho is validated and exactly Hermitian
-    return BellDiagonalCoords(
-        *(float(np.einsum("ij,ji->", rho.matrix, kron(s, s)).real) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
-    )
+    return BellDiagonalCoords(*(float(np.einsum("ij,ji->", rho.matrix, m).real) for m in _CORRELATORS))
 
 
 def in_state_tetrahedron(c) -> bool:
@@ -493,7 +494,7 @@ def load_state(path) -> DensityMatrix:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a huge int, deep nesting
         raise StateFormatError(f"cannot parse state file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise StateFormatError("state file must contain a JSON object")
@@ -504,13 +505,13 @@ def load_state(path) -> DensityMatrix:
     if (
         not isinstance(dims, list)
         or len(dims) != 2
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
+        or not all(type(d) is int and d >= 1 for d in dims)  # a JSON bool is an int
     ):
         raise StateFormatError(f"'dims' must be two positive integers, got {dims!r}")
     try:
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond the floats
         raise StateFormatError(f"'re'/'im' must be numeric matrices: {exc}") from exc
     n = dims[0] * dims[1]
     if re.shape != (n, n) or im.shape != (n, n):
@@ -518,4 +519,6 @@ def load_state(path) -> DensityMatrix:
             f"'re'/'im' must have shape ({n}, {n}) for dims {dims}, "
             f"got {re.shape} and {im.shape}"
         )
-    return DensityMatrix(re + 1j * im, (dims[0], dims[1]))
+    m = re.astype(complex)
+    m.imag = im  # set, not added, so that a zero keeps its sign
+    return DensityMatrix(m, (dims[0], dims[1]))

@@ -85,6 +85,28 @@ class TestEvaluate:
         assert run_cli("evaluate", state) == 3
         assert "unit_trace" in capsys.readouterr().err
 
+    def test_scalar_path_checks_each_input_once(self, tmp_path, monkeypatch, capsys):
+        """One evaluate with every criterion: pauli_lur's three variances make
+        the only expectation calls, each checking rho and M once; the state's
+        validation and is_npt make the other two Hermiticity checks."""
+        state = tmp_path / "ginibre.json"
+        save_state(random_density_matrix((2, 2), np.random.default_rng(31)), state)
+        criteria.collective_paulis()  # built, and checked, once per process
+        calls = {"expectation": 0, "hermiticity_defect": 0}
+        for name in calls:
+            original = getattr(uwit.linalg, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module in (uwit, uwit.linalg, uwit.states, criteria):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        assert run_cli("evaluate", state, "--q", "2", "--q", "4", "--q", "15") == 0
+        assert len(json.loads(capsys.readouterr().out)["criteria"]) == 7
+        assert calls["expectation"] <= 3 and calls["hermiticity_defect"] <= 8, calls
+
     def test_malformed_file_exits_2(self, tmp_path):
         state = tmp_path / "broken.json"
         state.write_text("{oops")

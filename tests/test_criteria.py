@@ -6,7 +6,7 @@ from uwit.errors import (
     DimensionMismatchError,
     InvalidParameterError,
 )
-from uwit.linalg import ID2, SIGMA_X, SIGMA_Z, kron
+from uwit.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, expectation, kron
 from uwit.criteria import (
     Observable,
     _entropy,
@@ -100,6 +100,29 @@ class TestVariance:
         assert oracle == pytest.approx(2.0, abs=1e-14)
         assert variance(MIXED, m) == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("k", range(8))
+    def test_exactly_hermitian_observables_at_any_scale(self, k):
+        """G + G^dagger is exactly Hermitian at every scale, and so passes the
+        input check; M^2 and the trace's imaginary part carry roundoff that
+        grows with the scale, so a second check would reject valid input."""
+        rng = np.random.default_rng(100 + k)
+        for _ in range(60):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            m = (g + g.conj().T) * 10.0**k
+            rho = random_density_matrix((2, 2), rng)
+            expectation(rho.matrix, m)
+            assert lur_value(rho, [m], 0.0).value == variance(rho, m) >= 0.0
+
+    def test_variance_scales_quadratically(self):
+        rng = np.random.default_rng(108)
+        for k in range(8):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            m = g + g.conj().T
+            for _ in range(20):
+                rho = random_density_matrix((2, 2), rng)
+                scaled = variance(rho, 10.0**k * m)
+                assert scaled == pytest.approx(100.0**k * variance(rho, m), rel=1e-9)
+
 
 class TestLur:
     def test_singlet_detected(self):
@@ -130,6 +153,15 @@ class TestWitnesses:
 
     def test_linear_on_mixed(self):
         assert linear_witness_value(MIXED) == pytest.approx(1.0, abs=1e-12)
+
+    def test_witness_matrix_is_a_read_only_constant(self):
+        from uwit import criteria
+
+        w = np.eye(4, dtype=complex) + kron(SIGMA_X, SIGMA_X) + kron(SIGMA_Y, SIGMA_Y) + kron(SIGMA_Z, SIGMA_Z)
+        assert criteria._LINEAR_WITNESS.tobytes() == w.tobytes()
+        assert not criteria._LINEAR_WITNESS.flags.writeable
+        with pytest.raises(ValueError):
+            criteria._LINEAR_WITNESS[0, 0] = 0.0
 
     def test_linear_on_werner_line(self):
         for p in np.linspace(0, 1, 11):

@@ -9,6 +9,7 @@ neither witness, nor pauli_lur, fires on a PPT state."""
 import numpy as np
 import pytest
 
+import uwit.criteria
 import uwit.states
 
 pytest.importorskip("hypothesis")
@@ -152,15 +153,29 @@ def test_bell_verdicts_equal_batched_decision(states):
 @BOUNDED
 @given(stacks)
 def test_coords_read_the_validated_state(states):
+    """Coordinates, Bell-diagonal states and the linear witness read the
+    correlators built once: no call rebuilds them through kron, and coords_of
+    does not re-check the validated state."""
     checked = [tuple(expectation(s.matrix, kron(m, m)) for m in (SIGMA_X, SIGMA_Y, SIGMA_Z)) for s in states]
+    linear = [linear_witness_value(s) for s in states]
 
     def refuse(*args):
-        raise AssertionError("coords_of re-checked a validated state")
+        raise AssertionError("re-checked a validated state or rebuilt a correlator")
 
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("expectation", "hermiticity_defect"):
+        for name in ("expectation", "hermiticity_defect", "kron"):
             patch.setattr(uwit.states, name, refuse, raising=False)
-        assert [tuple(coords_of(s)) for s in states] == checked
+        patch.setattr(uwit.criteria, "kron", refuse)
+        coords = [tuple(coords_of(s)) for s in states]
+        assert coords == checked
+        assert [linear_witness_value(s) for s in states] == linear
+    # construction validates, so hermiticity_defect runs again, but not kron
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(uwit.states, "kron", refuse)
+        for c in coords:
+            if in_state_tetrahedron(c):
+                expected = sum((v * kron(m, m) for v, m in zip(c, (SIGMA_X, SIGMA_Y, SIGMA_Z))), np.eye(4, dtype=complex))
+                assert bell_diagonal_state(c).matrix.tobytes() == DensityMatrix(expected / 4.0, (2, 2)).matrix.tobytes()
 
 
 @BOUNDED

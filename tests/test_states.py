@@ -11,7 +11,7 @@ from uwit.errors import (
     StateFormatError,
     StateInvariantError,
 )
-from uwit.linalg import hs_norm
+from uwit.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, hs_norm, kron
 from uwit.states import (
     BellDiagonalCoords,
     DensityMatrix,
@@ -296,6 +296,15 @@ class TestBellDiagonalGeometry:
         assert np.allclose(coords_of(bell_state(4).density()), (-1, -1, -1), atol=1e-12)
         assert np.allclose(coords_of(bell_state(3).density()), (1, 1, -1), atol=1e-12)
 
+    def test_correlators_are_read_only_constants(self):
+        from uwit import states
+
+        for m, s in zip(states._CORRELATORS, (SIGMA_X, SIGMA_Y, SIGMA_Z)):
+            assert m.tobytes() == kron(s, s).tobytes()
+        assert not states._CORRELATORS.flags.writeable
+        with pytest.raises(ValueError):
+            states._CORRELATORS[0, 0, 0] = 0.0
+
     def test_round_trip(self):
         rng = np.random.default_rng(14)
         for _ in range(100):
@@ -346,6 +355,14 @@ class TestJsonRoundTrip:
         path = tmp_path / "missing.json"
         path.write_text(json.dumps({"dims": [2, 2], "re": [[1.0]]}))
         with pytest.raises(StateFormatError):
+            load_state(path)
+
+    @pytest.mark.parametrize("dims", [[True, True], [True, 2], [2, False], [2.0, 2], ["2", 2], [2], [2, 2, 1], [0, 4]])
+    def test_bad_dims(self, tmp_path, dims):
+        """A JSON boolean is a Python int, but not a dimension."""
+        path = tmp_path / "dims.json"
+        path.write_text(json.dumps({"dims": dims, "re": [[1.0]], "im": [[0.0]]}))
+        with pytest.raises(StateFormatError, match="'dims' must be two positive integers"):
             load_state(path)
 
     def test_shape_mismatch(self, tmp_path):
