@@ -22,16 +22,8 @@ from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
 )
-from .linalg import (
-    ID2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    expectation,
-    hermitian_eigen,
-    kron,
-)
-from .states import _BELL_AMPLITUDES, _CORRELATORS, NPT_THRESHOLD, DensityMatrix
+from .linalg import expectation, hermitian_eigen
+from .states import _PAULI_BASIS, NPT_THRESHOLD, DensityMatrix, _bell_columns
 
 DEGENERACY_TOL = 1e-8
 PROBABILITY_TOL = -1e-12
@@ -134,50 +126,40 @@ def lur_value(rho: DensityMatrix, observables, bound: float) -> CriterionVerdict
 @lru_cache(maxsize=1)
 def collective_paulis() -> tuple[Observable, Observable, Observable]:
     """The three collective observables sigma_i x I + I x sigma_i."""
-    return tuple(
-        Observable.from_matrix(kron(s, ID2) + kron(ID2, s))
-        for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)
-    )
+    return tuple(Observable.from_matrix(m) for m in _PAULI_BASIS[1:4])
 
 
-def pauli_lur(rho: DensityMatrix) -> CriterionVerdict:
-    """Collective-Pauli uncertainty test: separable two-qubit states keep the
-    summed variances of sigma_i x I + I x sigma_i at or above 4. The sum is
-    4 + 2N for the nonlinear witness value N, so N's rule decides it."""
-    value = lur_value(rho, collective_paulis(), 4.0).value
-    return CriterionVerdict(value, 4.0, _witness_detects((value - 4.0) / 2.0), "pauli_lur")
-
-
-_LINEAR_WITNESS = np.eye(4, dtype=complex) + sum(_CORRELATORS)
-_LINEAR_WITNESS.setflags(write=False)
-
-
-def _linear_witness_values(rho: np.ndarray) -> np.ndarray:
-    """Tr(rho W), W = I + XX + YY + ZZ, over an (n, 4, 4) stack of states."""
-    return np.einsum("nij,ji->n", rho, _LINEAR_WITNESS).real
-
-
-def _nonlinear_witness_values(rho: np.ndarray, linear) -> np.ndarray:
-    """The linear values minus half the summed squared collective-Pauli
-    means, over an (n, 4, 4) stack of states."""
-    means_sq = sum(np.einsum("nij,ji->n", rho, m.matrix).real ** 2 for m in collective_paulis())
-    return linear - 0.5 * means_sq
+def _witness_values(values):
+    """The linear and the nonlinear witness values from Pauli values: the
+    last axis holds Tr(rho P) for the seven P of states._PAULI_BASIS. The
+    linear value is Tr(rho (I + XX + YY + ZZ)); the nonlinear one subtracts
+    half the summed squared collective-Pauli means."""
+    t, mx, my, mz, x, y, z = (values[..., k] for k in range(7))
+    linear = t + x + y + z
+    return linear, linear - 0.5 * (mx**2 + my**2 + mz**2)
 
 
 def linear_witness_value(rho: DensityMatrix) -> float:
     """Expectation of I + XX + YY + ZZ; negative values certify entanglement."""
-    if rho.dims != (2, 2):
-        raise DimensionMismatchError(f"witness requires a 2x2-qubit state, got {rho.dims}")
-    return float(_linear_witness_values(rho.matrix[None])[0])
+    return float(_witness_values(rho._pauli_values)[0])
 
 
 def nonlinear_witness_value(rho: DensityMatrix) -> CriterionVerdict:
     """Nonlinear refinement of the linear witness: the squared means of the
     collective Paulis are subtracted, so the value never exceeds the linear
     one. Equals (summed collective-Pauli variances - 4)/2."""
-    linear = linear_witness_value(rho)
-    value = float(_nonlinear_witness_values(rho.matrix[None], linear)[0])
+    value = float(_witness_values(rho._pauli_values)[1])
     return CriterionVerdict(value, 0.0, _witness_detects(value), "nonlinear_witness")
+
+
+def pauli_lur(rho: DensityMatrix) -> CriterionVerdict:
+    """Collective-Pauli uncertainty test: separable two-qubit states keep the
+    summed variances of sigma_i x I + I x sigma_i at or above 4. As
+    (sigma_i x I + I x sigma_i)^2 = 2 (I + sigma_i x sigma_i), the sum is
+    4 Tr(rho) + 2N for the nonlinear witness value N, and N's rule decides it."""
+    nonlinear = float(_witness_values(rho._pauli_values)[1])
+    value = 4.0 * float(rho._pauli_values[0]) + 2.0 * nonlinear
+    return CriterionVerdict(value, 4.0, _witness_detects(nonlinear), "pauli_lur")
 
 
 def _clean_distribution(p) -> np.ndarray:
@@ -287,12 +269,11 @@ def schmidt_entropy_bound(c: float, q: float) -> float:
 
 
 def bell_populations(rho: DensityMatrix) -> np.ndarray:
-    """The four Bell-state populations <BS_i|rho|BS_i> of a two-qubit state.
-    ``rho`` is a validated state, so negative roundoff is clipped to 0 rather
-    than re-checked."""
-    if rho.dims != (2, 2):
-        raise DimensionMismatchError(f"Bell populations require a 2x2-qubit state, got {rho.dims}")
-    return np.maximum([float(np.vdot(a, rho.matrix @ a).real) for a in _BELL_AMPLITUDES], 0.0)
+    """The four Bell-state populations <BS_i|rho|BS_i> of a two-qubit state,
+    from its trace and correlators. ``rho`` is a validated state, so negative
+    roundoff is clipped to 0 rather than re-checked."""
+    t, x, y, z = rho._pauli_values[[0, 4, 5, 6]]
+    return np.maximum(_bell_columns(x, y, z, t), 0.0)
 
 
 def _bell_tsallis_detects(columns, q: float):

@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidParameterError, NumericalDefectError
-from .linalg import hermitian_eigen, partial_transpose
+from .linalg import expectation, hermitian_eigen, partial_transpose
 from .states import (
+    _PAULI_BASIS,
     NPT_THRESHOLD,
     NoiseBallConfig,
     _bell_columns,
@@ -31,9 +32,8 @@ from .criteria import (
     WITNESS_TOL,
     _bell_tsallis_detects,
     _check_q,
-    _linear_witness_values,
-    _nonlinear_witness_values,
     _witness_detects,
+    _witness_values,
 )
 
 _BLOCK = 256
@@ -103,8 +103,7 @@ def _block_flags(sigma: np.ndarray, p: float):
     evaluate_detection_flags calls it on a sweep's sigma.
     """
     rho = p * _SINGLET[None, :, :] + (1.0 - p) * sigma
-    linear = _linear_witness_values(rho)
-    nonlinear = _nonlinear_witness_values(rho, linear)
+    linear, nonlinear = _witness_values(expectation(rho, _PAULI_BASIS))
     npt = _min_pt_eigenvalues(rho, (2, 2)) < NPT_THRESHOLD
     return _witness_detects(linear), _witness_detects(nonlinear), npt
 
@@ -128,8 +127,8 @@ def _sweep_flags(sigma: np.ndarray, p_grid) -> tuple[np.ndarray, np.ndarray, np.
     """
     p = np.asarray(p_grid, dtype=float)
     q = 1.0 - p
-    linear_sigma = _linear_witness_values(sigma)
-    half_means_sq = linear_sigma - _nonlinear_witness_values(sigma, linear_sigma)
+    linear_sigma, nonlinear_sigma = _witness_values(expectation(sigma, _PAULI_BASIS))
+    half_means_sq = linear_sigma - nonlinear_sigma
     linear = -2.0 * p + q * linear_sigma[:, None]
     nonlinear = linear - q**2 * half_means_sq[:, None]
 

@@ -41,6 +41,13 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
+def _hs_norms(a: np.ndarray):
+    """Hilbert-Schmidt norm of each matrix of a C-ordered complex (..., n, n)
+    stack, from the float view that holds each entry's real and imaginary
+    parts: a NaN or infinite entry gives a non-finite norm, with no warning."""
+    return np.sqrt(np.square(a.view(float)).sum(axis=(-2, -1)))
+
+
 def hermiticity_defect(m):
     """Hilbert-Schmidt norm of m - m^dagger: a float for one matrix, an array
     of one norm per matrix for a (..., n, n) stack. A NaN or infinite entry
@@ -48,9 +55,7 @@ def hermiticity_defect(m):
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise DimensionMismatchError(f"expected square matrices, got shape {a.shape}")
-    # in C order, so that the float view holds each entry's real and imaginary parts
-    parts = np.subtract(a, a.conj().swapaxes(-2, -1), order="C").view(float)
-    defects = np.sqrt(np.square(parts).sum(axis=(-2, -1)))
+    defects = _hs_norms(np.subtract(a, a.conj().swapaxes(-2, -1), order="C"))
     return float(defects) if a.ndim == 2 else defects
 
 
@@ -78,17 +83,37 @@ def partial_transpose(m, dims: tuple[int, int]) -> np.ndarray:
     return a.reshape(*a.shape[:-2], da, db, da, db).swapaxes(-3, -1).reshape(a.shape)
 
 
-def expectation(rho, m) -> float:
-    """Tr(rho M) for Hermitian rho and M: checks both, returns the real part."""
-    r = _as_square(rho)
-    o = _as_square(m)
-    if r.shape != o.shape:
+def expectation(rho, m):
+    """Tr(rho M), real part, for Hermitian rho and M; either may be a
+    (..., n, n) stack. Two matrices give a float, by numpy's einsum.
+    Otherwise the result has rho's stack axes followed by m's, one value per
+    (state, observable) pair, and a pair's value does not depend on the
+    stacks it sits in; it may differ from the two-matrix value in the last
+    bit, since its sum runs in another order.
+
+    Each matrix must be Hermitian within HERMITICITY_TOL * max(1, ||M||),
+    which for a density matrix is HERMITICITY_TOL itself; a non-finite
+    entry fails too.
+    """
+    r = np.asarray(rho, dtype=complex)
+    o = np.asarray(m, dtype=complex)
+    if r.shape[-2:] != o.shape[-2:]:
         raise DimensionMismatchError(f"shape mismatch {r.shape} vs {o.shape}")
-    for name, mat in (("rho", r), ("m", o)):
-        # a NaN or infinite entry makes the defect NaN, which must fail too
-        if not hermiticity_defect(mat) <= HERMITICITY_TOL:
-            raise NotHermitianError(f"{name} is not Hermitian within {HERMITICITY_TOL}")
-    return complex(np.einsum("ij,ji->", r, o)).real
+    for name, a in (("rho", r), ("m", o)):
+        defect = hermiticity_defect(a)  # raises DimensionMismatchError unless square
+        if np.all(defect <= HERMITICITY_TOL):
+            continue  # within every matrix's bound, so no norm is needed
+        bound = HERMITICITY_TOL * np.maximum(1.0, _hs_norms(np.ascontiguousarray(a)))
+        # a non-finite entry makes the defect NaN, which fails the comparison,
+        # or infinite, which must fail however large the bound
+        if not ((defect <= bound) & (defect < np.inf)).all():
+            raise NotHermitianError(f"{name} is not Hermitian within {HERMITICITY_TOL} * max(1, ||{name}||)")
+    if r.ndim == o.ndim == 2:
+        return complex(np.einsum("ij,ji->", r, o)).real
+    # the entrywise products of each pair, summed over the last two axes:
+    # each pair's sum then runs in one order, whatever the stacks
+    r = r.reshape(r.shape[:-2] + (1,) * (o.ndim - 2) + r.shape[-2:])
+    return (r * np.ascontiguousarray(o.swapaxes(-2, -1))).sum(axis=(-2, -1)).real
 
 
 def hermitian_eigen(h) -> Spectrum:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -23,9 +24,11 @@ from .errors import (
 )
 from .linalg import (
     HERMITICITY_TOL,
+    ID2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    expectation,
     hermitian_eigen,
     hermiticity_defect,
     kron,
@@ -50,7 +53,8 @@ class DensityMatrix:
 
     Invariants are checked on construction; violations raise
     StateInvariantError naming every failed invariant. The Hermitian part
-    (m + m^dagger)/2 of a valid m is kept, which is exactly Hermitian.
+    (m + m^dagger)/2 of a valid m is kept, which is exactly Hermitian, as a
+    read-only array, so that what was checked and computed from it holds.
     """
 
     matrix: np.ndarray
@@ -59,7 +63,7 @@ class DensityMatrix:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", (int(self.dims[0]), int(self.dims[1])))
+        object.__setattr__(self, "dims", _check_dims(self.dims))
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"density matrix must be square, got {m.shape}")
         if self.dims[0] < 1 or self.dims[1] < 1 or self.dims[0] * self.dims[1] != m.shape[0]:
@@ -69,11 +73,32 @@ class DensityMatrix:
         violations = density_matrix_violations(m)
         if violations:
             raise StateInvariantError(violations)
-        object.__setattr__(self, "matrix", (m + m.conj().T) / 2.0)
+        hermitian = (m + m.conj().T) / 2.0
+        hermitian.setflags(write=False)
+        object.__setattr__(self, "matrix", hermitian)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def _pauli_values(self) -> np.ndarray:
+        """Tr(rho P) for the seven P of _PAULI_BASIS, from one expectation
+        call made at most once per state; read-only. Every two-qubit
+        criterion reads its values from these."""
+        if self.dims != (2, 2):
+            raise DimensionMismatchError(f"the Pauli values require a 2x2-qubit state, got dims {self.dims}")
+        values = expectation(self.matrix, _PAULI_BASIS)
+        values.setflags(write=False)
+        return values
+
+
+def _check_dims(dims) -> tuple[int, int]:
+    """``dims`` as a pair of ints. A float or boolean entry is refused, not
+    truncated."""
+    if len(dims) != 2 or not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) for d in dims):
+        raise DimensionMismatchError(f"dims must be two integers, got {dims!r}")
+    return int(dims[0]), int(dims[1])
 
 
 def density_matrix_violations(m: np.ndarray) -> list[str]:
@@ -104,7 +129,7 @@ class PureState:
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         object.__setattr__(self, "amplitudes", a)
-        object.__setattr__(self, "dims", (int(self.dims[0]), int(self.dims[1])))
+        object.__setattr__(self, "dims", _check_dims(self.dims))
         if self.dims[0] * self.dims[1] != a.size:
             raise DimensionMismatchError(
                 f"dims {self.dims} do not factor vector length {a.size}"
@@ -156,9 +181,16 @@ class NoiseBallConfig:
             raise InvalidParameterError(f"samples must be positive, got {self.samples}")
 
 
-# the correlators sigma_i x sigma_i (i = x, y, z), built once
-_CORRELATORS = np.array([kron(s, s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
-_CORRELATORS.setflags(write=False)
+# The seven observables whose values decide every two-qubit criterion, built
+# once: I, the collective Paulis sigma_i x I + I x sigma_i and the
+# correlators sigma_i x sigma_i (i = x, y, z).
+_PAULI_BASIS = np.array(
+    [np.eye(4, dtype=complex)]
+    + [kron(s, ID2) + kron(ID2, s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
+    + [kron(s, s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
+)
+_PAULI_BASIS.setflags(write=False)
+_CORRELATORS = _PAULI_BASIS[4:]
 
 _BELL_AMPLITUDES = (
     np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0),
@@ -363,15 +395,17 @@ def is_npt(rho: DensityMatrix) -> tuple[bool, float]:
     return min_eig < NPT_THRESHOLD, min_eig
 
 
-def _bell_columns(x, y, z):
-    """The four Bell populations of the Bell-diagonal states with coordinates
+def _bell_columns(x, y, z, t=1.0):
+    """The four Bell populations of the states with trace t and correlators
     x, y, z, as four arrays of their broadcast shape: the population
-    columns that the Bell decisions take."""
+    columns that the Bell decisions take. A Bell projector is
+    (I +- XX +- YY +- ZZ)/4, so this holds for any two-qubit state, not
+    only a Bell-diagonal one."""
     return (
-        (1.0 + x - y + z) / 4.0,
-        (1.0 - x + y + z) / 4.0,
-        (1.0 + x + y - z) / 4.0,
-        (1.0 - x - y - z) / 4.0,
+        (t + x - y + z) / 4.0,
+        (t - x + y + z) / 4.0,
+        (t + x + y - z) / 4.0,
+        (t - x - y - z) / 4.0,
     )
 
 
@@ -416,10 +450,7 @@ def bell_diagonal_state(c) -> DensityMatrix:
 
 def coords_of(rho: DensityMatrix) -> BellDiagonalCoords:
     """Correlation coordinates (Tr(rho sigma_i x sigma_i))_{i=x,y,z} of a two-qubit state."""
-    if rho.dims != (2, 2):
-        raise DimensionMismatchError(f"coordinates require a 2x2-qubit state, got {rho.dims}")
-    # expectation's einsum without its checks: rho is validated and exactly Hermitian
-    return BellDiagonalCoords(*(float(np.einsum("ij,ji->", rho.matrix, m).real) for m in _CORRELATORS))
+    return BellDiagonalCoords(*map(float, rho._pauli_values[4:]))
 
 
 def in_state_tetrahedron(c) -> bool:

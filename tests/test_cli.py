@@ -86,12 +86,12 @@ class TestEvaluate:
         assert "unit_trace" in capsys.readouterr().err
 
     def test_scalar_path_checks_each_input_once(self, tmp_path, monkeypatch, capsys):
-        """One evaluate with every criterion: pauli_lur's three variances make
-        the only expectation calls, each checking rho and M once; the state's
-        validation and is_npt make the other two Hermiticity checks."""
+        """One evaluate with every criterion: the state's seven Pauli values
+        make the only expectation call, which checks rho and the basis once
+        each; the state's validation and is_npt make the other two
+        Hermiticity checks."""
         state = tmp_path / "ginibre.json"
         save_state(random_density_matrix((2, 2), np.random.default_rng(31)), state)
-        criteria.collective_paulis()  # built, and checked, once per process
         calls = {"expectation": 0, "hermiticity_defect": 0}
         for name in calls:
             original = getattr(uwit.linalg, name)
@@ -105,7 +105,7 @@ class TestEvaluate:
                     monkeypatch.setattr(module, name, counted)
         assert run_cli("evaluate", state, "--q", "2", "--q", "4", "--q", "15") == 0
         assert len(json.loads(capsys.readouterr().out)["criteria"]) == 7
-        assert calls["expectation"] <= 3 and calls["hermiticity_defect"] <= 8, calls
+        assert calls["expectation"] <= 1 and calls["hermiticity_defect"] <= 4, calls
 
     def test_malformed_file_exits_2(self, tmp_path):
         state = tmp_path / "broken.json"
@@ -416,7 +416,7 @@ class TestPinnedOutputs:
             ),
             (
                 ("evaluate", "STATE"),
-                "48554a7747e01824725754d78ce758140759d7eeeac350d466b95d5f73dea174",
+                "59aa9619e7e086c7f5939620c447c90c378e007f277203b25477ac12f542ed85",
             ),
             (
                 ("evaluate", "STATE", "--format", "csv"),

@@ -113,6 +113,17 @@ class TestVariance:
             expectation(rho.matrix, m)
             assert lur_value(rho, [m], 0.0).value == variance(rho, m) >= 0.0
 
+    @pytest.mark.parametrize("scale", [1e6, 1e7])
+    def test_roundoff_hermitian_observables_of_large_norm(self, scale):
+        """U D U^dagger with D in +-scale is Hermitian only up to roundoff
+        that grows with its norm; the input check is relative to the norm,
+        so variance takes all of them."""
+        rng = np.random.default_rng(109)
+        for _ in range(500):
+            u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+            m = u @ np.diag(rng.uniform(-scale, scale, 4)) @ u.conj().T
+            assert variance(random_density_matrix((2, 2), rng), m) >= 0.0
+
     def test_variance_scales_quadratically(self):
         rng = np.random.default_rng(108)
         for k in range(8):
@@ -154,14 +165,20 @@ class TestWitnesses:
     def test_linear_on_mixed(self):
         assert linear_witness_value(MIXED) == pytest.approx(1.0, abs=1e-12)
 
-    def test_witness_matrix_is_a_read_only_constant(self):
-        from uwit import criteria
+    def test_pauli_basis_is_a_read_only_constant(self):
+        """The seven observables every two-qubit criterion reads: I, the
+        collective Paulis (the matrices of collective_paulis) and the
+        correlators."""
+        from uwit import states
 
-        w = np.eye(4, dtype=complex) + kron(SIGMA_X, SIGMA_X) + kron(SIGMA_Y, SIGMA_Y) + kron(SIGMA_Z, SIGMA_Z)
-        assert criteria._LINEAR_WITNESS.tobytes() == w.tobytes()
-        assert not criteria._LINEAR_WITNESS.flags.writeable
+        paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+        collective = [kron(s, ID2) + kron(ID2, s) for s in paulis]
+        basis = np.array([np.eye(4, dtype=complex), *collective, *(kron(s, s) for s in paulis)])
+        assert states._PAULI_BASIS.tobytes() == basis.tobytes()
+        assert [m.matrix.tobytes() for m in collective_paulis()] == [m.tobytes() for m in collective]
+        assert not states._PAULI_BASIS.flags.writeable
         with pytest.raises(ValueError):
-            criteria._LINEAR_WITNESS[0, 0] = 0.0
+            states._PAULI_BASIS[0, 0, 0] = 0.0
 
     def test_linear_on_werner_line(self):
         for p in np.linspace(0, 1, 11):

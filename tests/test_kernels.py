@@ -1,8 +1,10 @@
 """Property tests: every scalar criterion and the NPT test are their batch
 kernel applied to a batch of one, so scalar results equal the batch results
 over generated stacks of states; the least partial-transpose eigenvalue is
-invariant under local unitaries; coordinates read from a validated state
-equal the checked expectation values; the sweep's closed-form flags equal the
+invariant under local unitaries; a state's Pauli values do not depend on the
+stack they are computed in, and every two-qubit criterion and the
+coordinates read them from the validated state; the old per-criterion
+formulas stay here as oracles; the sweep's closed-form flags equal the
 per-p kernel's; the batched noise draws equal the scalar sampler's; and
 neither witness, nor pauli_lur, fires on a PPT state."""
 
@@ -19,13 +21,14 @@ from uwit.criteria import (
     WITNESS_TOL,
     _bell_tsallis_detects,
     _entropy,
-    _linear_witness_values,
-    _nonlinear_witness_values,
     _witness_detects,
+    _witness_values,
     bell_populations,
     bell_tsallis_criterion,
     bell_variance_criterion,
+    collective_paulis,
     linear_witness_value,
+    lur_value,
     nonlinear_witness_value,
     pauli_lur,
 )
@@ -38,6 +41,7 @@ from uwit.experiments import (
 )
 from uwit.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, expectation, kron, partial_transpose
 from uwit.states import (
+    _PAULI_BASIS,
     NPT_THRESHOLD,
     PSD_TOL,
     DensityMatrix,
@@ -98,11 +102,70 @@ stacks = st.builds(
 @BOUNDED
 @given(stacks)
 def test_scalar_witnesses_equal_batch_kernels(states):
-    rho = np.array([s.matrix for s in states])
-    linear = _linear_witness_values(rho)
-    nonlinear = _nonlinear_witness_values(rho, linear)
+    linear, nonlinear = _witness_values(expectation(np.array([s.matrix for s in states]), _PAULI_BASIS))
     assert [linear_witness_value(s) for s in states] == linear.tolist()
     assert [nonlinear_witness_value(s).value for s in states] == nonlinear.tolist()
+
+
+@BOUNDED
+@given(st.sampled_from(sorted(FAMILIES)), st.integers(0, 2**32 - 1), st.integers(0, 255))
+def test_pauli_values_do_not_depend_on_the_stack(family, seed, row):
+    """A state's seven Pauli values from one 2-D call equal its row in a
+    batch of one and in a stack of 256, bit for bit. The sweep's blocks and
+    the scalar criteria therefore read the same numbers."""
+    stack = np.array([s.matrix for s in _stack(family, seed, 256)])
+    values = expectation(stack[row], _PAULI_BASIS)
+    assert values.shape == (7,)
+    assert expectation(stack[row][None], _PAULI_BASIS)[0].tobytes() == values.tobytes()
+    assert expectation(stack, _PAULI_BASIS)[row].tobytes() == values.tobytes()
+    # the same values as one (observable, state) pair at a time, up to the summation order
+    for k, m in enumerate(_PAULI_BASIS):
+        assert abs(values[k] - expectation(stack[row], m)) <= 4e-15
+
+
+def bell_populations_oracle(rho: DensityMatrix) -> np.ndarray:
+    """The populations <BS_i|rho|BS_i> taken one Bell vector at a time."""
+    return np.maximum([float(np.vdot(b.amplitudes, rho.matrix @ b.amplitudes).real) for b in bell_states()], 0.0)
+
+
+LINEAR_WITNESS = np.eye(4, dtype=complex) + sum(kron(s, s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+
+
+def pauli_lur_oracle(rho: DensityMatrix) -> float:
+    """The summed variances of the three collective Paulis, one variance call each."""
+    return lur_value(rho, collective_paulis(), 4.0).value
+
+
+def noisy_singlet_state(rng) -> DensityMatrix:
+    return noisy_singlet(float(rng.uniform()), sample_noise_ball(0.5, rng))
+
+
+ORACLE_FAMILIES = {
+    "ginibre": FAMILIES["ginibre"],
+    "separable": FAMILIES["separable"],
+    "noisy_singlet": noisy_singlet_state,
+    "bell_diagonal": FAMILIES["bell_diagonal"],
+}
+
+
+@BOUNDED
+@given(st.sampled_from(sorted(ORACLE_FAMILIES)), st.integers(0, 2**32 - 1))
+def test_criteria_match_the_per_observable_oracles(family, seed):
+    """The Bell populations, the witnesses and pauli_lur from the seven
+    Pauli values stay within 4e-15 of the per-observable formulas, and no
+    verdict moves."""
+    rng = np.random.default_rng(seed)
+    for rho in (ORACLE_FAMILIES[family](rng) for _ in range(20)):
+        linear = expectation(rho.matrix, LINEAR_WITNESS)
+        assert abs(linear_witness_value(rho) - linear) <= 4e-15
+        assert _witness_detects(linear_witness_value(rho)) == _witness_detects(linear)
+        populations, oracle = bell_populations(rho), bell_populations_oracle(rho)
+        assert np.abs(populations - oracle).max() <= 4e-15
+        for q in Q_VALUES:
+            assert _bell_tsallis_detects(populations[:, None], q)[0][0] == _bell_tsallis_detects(oracle[:, None], q)[0][0]
+        verdict, variances = pauli_lur(rho), pauli_lur_oracle(rho)
+        assert abs(verdict.value - variances) <= 4e-15
+        assert verdict.detected == nonlinear_witness_value(rho).detected == _witness_detects((variances - 4.0) / 2.0)
 
 
 EDGE_Q = (0.5, 2.0, 4.0, 15.0)
@@ -153,22 +216,25 @@ def test_bell_verdicts_equal_batched_decision(states):
 @BOUNDED
 @given(stacks)
 def test_coords_read_the_validated_state(states):
-    """Coordinates, Bell-diagonal states and the linear witness read the
-    correlators built once: no call rebuilds them through kron, and coords_of
-    does not re-check the validated state."""
-    checked = [tuple(expectation(s.matrix, kron(m, m)) for m in (SIGMA_X, SIGMA_Y, SIGMA_Z)) for s in states]
-    linear = [linear_witness_value(s) for s in states]
+    """Every two-qubit criterion and the coordinates read the Pauli values
+    that one expectation call gave the validated state: no later call
+    re-checks the state or rebuilds an observable through kron, and
+    Bell-diagonal states read the correlators built once."""
+    checked = [tuple(expectation(s.matrix, _PAULI_BASIS)[4:]) for s in states]
+    linear = [linear_witness_value(s) for s in states]  # computes each state's values
 
     def refuse(*args):
-        raise AssertionError("re-checked a validated state or rebuilt a correlator")
+        raise AssertionError("re-checked a validated state or rebuilt an observable")
 
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("expectation", "hermiticity_defect", "kron"):
-            patch.setattr(uwit.states, name, refuse, raising=False)
-        patch.setattr(uwit.criteria, "kron", refuse)
+        for module in (uwit.linalg, uwit.states, uwit.criteria):
+            for name in ("expectation", "hermiticity_defect", "kron"):
+                patch.setattr(module, name, refuse, raising=False)
         coords = [tuple(coords_of(s)) for s in states]
         assert coords == checked
         assert [linear_witness_value(s) for s in states] == linear
+        for s in states:
+            nonlinear_witness_value(s), pauli_lur(s), bell_variance_criterion(s), bell_tsallis_criterion(s, 3.0)
     # construction validates, so hermiticity_defect runs again, but not kron
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(uwit.states, "kron", refuse)
@@ -234,8 +300,8 @@ def threshold_weights(sigma) -> list[float]:
     """Each sample's exact singlet weights where the linear and the
     nonlinear witness values meet their threshold, and where the
     partial-transpose test turns NPT, those in [0, 1]."""
-    linear = _linear_witness_values(sigma)
-    half_means_sq = linear - _nonlinear_witness_values(sigma, linear)
+    linear, nonlinear = _witness_values(expectation(sigma, _PAULI_BASIS))
+    half_means_sq = linear - nonlinear
     roots = [(linear + WITNESS_TOL) / (linear + 2.0), [npt_weight(s) for s in sigma]]
     # nonlinear: -half_means_sq q^2 + (linear + 2) q + WITNESS_TOL - 2 = 0, q = 1 - p
     for a, b in zip(half_means_sq, linear + 2.0):

@@ -22,6 +22,7 @@ NON_HERMITIAN = [
     np.array([[0.0, 1.0], [0.0, 0.0]]),
     np.array([[np.nan, 0.0], [0.0, 1.0]]),
     np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    np.array([[0.0, np.inf], [0.0, 0.0]]),  # an infinite defect at an infinite norm
 ]
 
 
@@ -234,11 +235,50 @@ class TestExpectation:
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
     def test_rejects_non_hermitian(self):
+        # alone, and as one slice of a stack of Hermitian matrices
         for m in NON_HERMITIAN:
+            for h in (m, np.array([SIGMA_Z, m]), np.array([[m, SIGMA_X]])):
+                with pytest.raises(NotHermitianError):
+                    expectation(np.eye(2) / 2, h)
+                with pytest.raises(NotHermitianError):
+                    expectation(h, SIGMA_Z)
+
+    def test_stacks_give_every_pair(self):
+        """Stacked inputs give rho's stack axes followed by m's, each value
+        the 2-D call's up to the order of the sum."""
+        rng = np.random.default_rng(24)
+        rho = np.array([[random_hermitian(rng, 4) for _ in range(3)] for _ in range(2)])
+        m = np.array([random_hermitian(rng, 4) for _ in range(5)])
+        values = expectation(rho, m)
+        assert values.shape == (2, 3, 5)
+        for i, j, k in np.ndindex(2, 3, 5):
+            assert values[i, j, k] == pytest.approx(expectation(rho[i, j], m[k]), abs=1e-14)
+        assert expectation(rho, m[0]).shape == (2, 3)
+        assert expectation(rho[0, 0], m).shape == (5,)
+        with pytest.raises(DimensionMismatchError):
+            expectation(rho, np.eye(3))
+
+    def test_hermiticity_bound_is_relative_to_the_norm(self):
+        """U D U^dagger is Hermitian only up to a roundoff that grows with
+        its norm; each matrix is held to HERMITICITY_TOL * max(1, ||M||),
+        so these pass at norms 1e6 and 1e7, alone and in a stack, while a
+        defect of 1e-8 ||M|| fails."""
+        rng = np.random.default_rng(25)
+        rho = np.eye(4) / 4
+        for scale in (1e6, 1e7):
+            stack = []
+            for _ in range(250):
+                u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+                m = u @ np.diag(rng.uniform(-scale, scale, 4)) @ u.conj().T
+                expectation(rho, m)
+                stack.append(m)
+                bad = m.copy()
+                bad[0, 1] += 1e-8 * np.linalg.norm(m)
+                with pytest.raises(NotHermitianError):
+                    expectation(rho, bad)
+            expectation(rho, np.array(stack))
             with pytest.raises(NotHermitianError):
-                expectation(np.eye(2) / 2, m)
-            with pytest.raises(NotHermitianError):
-                expectation(m, SIGMA_Z)
+                expectation(rho, np.array(stack + [bad]))
 
 
 class TestHsNorm:

@@ -82,6 +82,38 @@ class TestDensityMatrix:
         with pytest.raises(DimensionMismatchError):
             DensityMatrix(np.eye(4, dtype=complex) / 4, (2, 3))
 
+    @pytest.mark.parametrize("dims", [(2.9, 2.9), (2.0, 2), (True, 4), (4, np.True_), (np.float64(2), 2), (2, 2, 1)])
+    def test_non_integral_dims_are_refused(self, dims):
+        """A float or boolean dimension is refused, not truncated."""
+        with pytest.raises(DimensionMismatchError):
+            DensityMatrix(np.eye(4, dtype=complex) / 4, dims)
+        with pytest.raises(DimensionMismatchError):
+            PureState([1.0, 0.0, 0.0, 0.0], dims)
+
+    def test_integer_dims_of_any_int_type(self):
+        for dims in ((2, 2), [2, 2], (np.int64(2), np.int32(2))):
+            rho = DensityMatrix(np.eye(4, dtype=complex) / 4, dims)
+            assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
+            assert PureState([1.0, 0.0, 0.0, 0.0], dims).dims == (2, 2)
+
+    def test_matrix_is_read_only(self):
+        """The checked matrix cannot change under the values computed from it."""
+        rho = random_density_matrix((2, 2), np.random.default_rng(5))
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 1.0
+
+    def test_pauli_values_are_computed_once(self, monkeypatch):
+        from uwit import states
+
+        rho = random_density_matrix((2, 2), np.random.default_rng(6))
+        calls = []
+        monkeypatch.setattr(states, "expectation", lambda *args: calls.append(args) or np.zeros(7))
+        first = rho._pauli_values
+        assert rho._pauli_values is first and len(calls) == 1
+        assert not first.flags.writeable
+        with pytest.raises(DimensionMismatchError):
+            DensityMatrix(np.eye(6, dtype=complex) / 6, (2, 3))._pauli_values
+
     def test_non_square_matrix(self):
         with pytest.raises(DimensionMismatchError):
             DensityMatrix(np.ones((2, 4), dtype=complex) / 4, (2, 2))
