@@ -329,15 +329,16 @@ def _detection_rows(rows):
 
 
 def _geometry_slabs(scan: GeometryScan, number, words, field, sep, ends):
-    """The rows of each x-slab of the scan (resolution**2 cells over y, then
-    z, one row per cell per listed q), as an object array of strings in file
-    order. A row is ``ends[0]``, then ``field(column, value)`` for each column
-    joined by ``sep``, then ``ends[1]``; numbers are rendered by ``number``
-    and flags as ``words[flag]``. A scan without q has no rows and no slabs.
+    """The text of each x-slab of the scan (resolution**2 cells over y, then
+    z, one row per cell per listed q), in file order. A row is ``ends[0]``,
+    then ``field(column, value)`` for each column joined by ``sep``, then
+    ``ends[1]``; numbers are rendered by ``number`` and flags as
+    ``words[flag]``. A scan without q has no rows and no slabs.
 
-    Each string is rendered once: an x part per slab, a y, z part per cell of
-    a slab and a row tail per (state, octahedron, sphere) code, q and Tsallis
-    flag; a row is the sum of its cell prefix and its tail."""
+    No row is built as a string of its own: in a slab the x field is
+    constant, so a slab is its head (row start and x field), then per row the
+    cell's y, z part and the row's tail plus the next row's head (none after
+    the last row), from pieces formatted once per scan or per slab."""
     if not scan.q_values:
         return
     columns = GEOMETRY_CSV_HEADER.split(",")
@@ -349,22 +350,25 @@ def _geometry_slabs(scan: GeometryScan, number, words, field, sep, ends):
         values = (*(words[flag] for flag in flags), q, words[detected])
         return sep.join(map(field, columns[3:], values)) + ends[1]
 
-    yz = np.array(
-        [field("y", y) + sep + field("z", z) + sep for y, z in product(axis, repeat=2)], dtype=object
-    )
     # tails[4 * state + 2 * octahedron + sphere, q index, tsallis flag]; the
     # flags index it as int8, since a bool array would act as a mask
     tails = np.array(
         [[[tail(flags, q, t) for t in (0, 1)] for q in q_values] for flags in product((0, 1), repeat=3)],
         dtype=object,
     )
+    yz = [field("y", y) + sep + field("z", z) + sep for y, z in product(axis, repeat=2)]
+    # pieces[cell, q index] = (y, z part, tail + next head), refilled per slab
+    pieces = np.empty((slab, len(q_values), 2), dtype=object)
+    pieces[:, :, 0] = np.array(yz, dtype=object)[:, None]
     q_index = np.arange(len(q_values))
     for x, start in zip(axis, range(0, len(scan), slab)):
         cells = slice(start, start + slab)
         code = 4 * scan.is_state[cells] + 2 * scan.in_octahedron[cells] + scan.sphere_detected[cells]
-        tsallis = np.stack([scan.tsallis_detected[q][cells] for q in scan.q_values], axis=1)
-        prefix = ends[0] + field("x", x) + sep + yz
-        yield (prefix[:, None] + tails[code[:, None], q_index, tsallis.view(np.int8)]).ravel()
+        tsallis = np.stack([scan.tsallis_detected[q][cells] for q in scan.q_values], axis=1).view(np.int8)
+        head = ends[0] + field("x", x) + sep
+        pieces[:, :, 1] = (tails + head)[code[:, None], q_index, tsallis]
+        pieces[-1, -1, 1] = tails[code[-1], -1, tsallis[-1, -1]]
+        yield head + "".join(pieces.ravel().tolist())
 
 
 def write_detection_csv(rows, path) -> None:
@@ -381,8 +385,7 @@ def write_geometry_csv(scan: GeometryScan, path) -> None:
     """Write a geometry scan as CSV, one row per cell per q."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(GEOMETRY_CSV_HEADER + "\n")
-        for rows in _geometry_slabs(scan, _fmt, _FLAG, lambda column, value: value, ",", ("", "\n")):
-            fh.write("".join(rows))
+        fh.writelines(_geometry_slabs(scan, _fmt, _FLAG, lambda column, value: value, ",", ("", "\n")))
 
 
 def detection_rows_to_dicts(rows) -> list[dict]:
@@ -420,10 +423,12 @@ def write_geometry_json(scan: GeometryScan, path) -> None:
         ("false", "true"),
         lambda column, value: f'"{column}": {value}',
         ", ",
-        ("{", "}"),
+        ("{", "},\n"),
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("[\n")
-        for i, rows in enumerate(slabs):
-            fh.write((",\n" if i else "") + ",\n".join(rows))
-        fh.write("\n]\n")
+        text = ""
+        for slab in slabs:  # held back one slab: the last row drops its ",\n"
+            fh.write(text)
+            text = slab
+        fh.write(text.removesuffix(",\n") + "\n]\n")

@@ -59,6 +59,20 @@ def hermiticity_defect(m):
     return float(defects) if a.ndim == 2 else defects
 
 
+def _check_hermitian(a: np.ndarray, name: str) -> None:
+    """Raise NotHermitianError unless each matrix of a complex (..., n, n)
+    stack is Hermitian within HERMITICITY_TOL * max(1, ||M||); the norms are
+    taken only when the absolute bound fails."""
+    defect = hermiticity_defect(a)
+    if np.all(defect <= HERMITICITY_TOL):
+        return  # within every matrix's bound, so no norm is needed
+    bound = HERMITICITY_TOL * np.maximum(1.0, _hs_norms(np.ascontiguousarray(a)))
+    # a non-finite entry makes the defect NaN, which fails the comparison,
+    # or infinite, which must fail however large the bound
+    if not ((defect <= bound) & (defect < np.inf)).all():
+        raise NotHermitianError(f"{name} is not Hermitian within {HERMITICITY_TOL} * max(1, ||{name}||)")
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two square matrices."""
     return np.kron(_as_square(a), _as_square(b))
@@ -99,15 +113,8 @@ def expectation(rho, m):
     o = np.asarray(m, dtype=complex)
     if r.shape[-2:] != o.shape[-2:]:
         raise DimensionMismatchError(f"shape mismatch {r.shape} vs {o.shape}")
-    for name, a in (("rho", r), ("m", o)):
-        defect = hermiticity_defect(a)  # raises DimensionMismatchError unless square
-        if np.all(defect <= HERMITICITY_TOL):
-            continue  # within every matrix's bound, so no norm is needed
-        bound = HERMITICITY_TOL * np.maximum(1.0, _hs_norms(np.ascontiguousarray(a)))
-        # a non-finite entry makes the defect NaN, which fails the comparison,
-        # or infinite, which must fail however large the bound
-        if not ((defect <= bound) & (defect < np.inf)).all():
-            raise NotHermitianError(f"{name} is not Hermitian within {HERMITICITY_TOL} * max(1, ||{name}||)")
+    _check_hermitian(r, "rho")
+    _check_hermitian(o, "m")
     if r.ndim == o.ndim == 2:
         return complex(np.einsum("ij,ji->", r, o)).real
     # the entrywise products of each pair, summed over the last two axes:
@@ -123,13 +130,11 @@ def hermitian_eigen(h) -> Spectrum:
     on the stack it sits in.
 
     Raises DimensionMismatchError unless the last two axes are square,
-    NotHermitianError if any matrix is not Hermitian within 1e-10 or has a
-    non-finite entry, ConvergenceError if LAPACK does not converge.
+    NotHermitianError if any matrix fails expectation's Hermiticity bound,
+    ConvergenceError if LAPACK does not converge.
     """
     a = np.asarray(h, dtype=complex)
-    # a non-finite defect fails the comparison too
-    if not np.all(hermiticity_defect(a) <= HERMITICITY_TOL):
-        raise NotHermitianError(f"matrix is not Hermitian within {HERMITICITY_TOL}")
+    _check_hermitian(a, "matrix")
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

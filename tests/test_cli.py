@@ -456,6 +456,15 @@ class TestPinnedOutputs:
                 + ("--workers", "2", "--seed", "11", "--format", "json"),
                 "f87c93edf43da55485de8bc2051fd4fdc874c17d36e5ed9315e8e6d548c8dd3b",
             ),
+            (
+                # the two outputs the geometry benchmark writes (CSV 47 MB)
+                ("geometry", "--resolution", "71", "--q", "2", "--q", "4", "--q", "15"),
+                "3a9addb7c8b921727f4384f74879ad9e3a0cbc56020ff9278f8319897834ee7f",
+            ),
+            (
+                ("geometry", "--resolution", "31", "--q", "2", "--q", "4", "--q", "15", "--format", "json"),
+                "adc100e841f2700c8b8f12eed6b6c98c13b6ec599a9a90029c1c863a134f61db",
+            ),
         ],
     )
     def test_output_digest(self, tmp_path, capsys, argv, digest):

@@ -5,8 +5,9 @@ from uwit.errors import (
     DegenerateObservableError,
     DimensionMismatchError,
     InvalidParameterError,
+    NotHermitianError,
 )
-from uwit.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, expectation, kron
+from uwit.linalg import HERMITICITY_TOL, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, expectation, hermiticity_defect, kron
 from uwit.criteria import (
     Observable,
     _entropy,
@@ -82,6 +83,29 @@ class TestObservable:
     def test_rejects_a_stack(self):
         with pytest.raises(DimensionMismatchError):
             Observable.from_matrix(np.array([SIGMA_Z, SIGMA_X]))
+
+    def test_large_norm_observables_pass_the_variance_check(self):
+        """from_matrix (through hermitian_eigen) applies the Hermiticity
+        bound variance applies, relative to the norm: U D U^dagger with D in
+        +-1e6 and +-1e7 is Hermitian only up to roundoff that grows with its
+        norm, and most of these 400 exceed the absolute HERMITICITY_TOL."""
+        rng = np.random.default_rng(7)
+        rho = random_density_matrix((2, 2), rng)
+        above_absolute = 0
+        for scale in (1e6, 1e7):
+            for _ in range(200):
+                u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+                d = rng.uniform(-scale, scale, 4)
+                m = u @ np.diag(d) @ u.conj().T
+                above_absolute += hermiticity_defect(m) > HERMITICITY_TOL
+                obs = Observable.from_matrix(m)
+                assert [value for value, _ in obs.spectral] == pytest.approx(np.sort(d), rel=1e-9)
+                assert variance(rho, m) >= 0.0
+                bad = m.copy()
+                bad[0, 1] += 1e-8 * np.linalg.norm(m)
+                with pytest.raises(NotHermitianError):
+                    Observable.from_matrix(bad)
+        assert above_absolute > 200
 
 
 class TestVariance:

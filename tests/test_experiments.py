@@ -45,6 +45,25 @@ from uwit.states import (
 SMALL = NoiseBallConfig(d=0.2, seed=7, samples=200)
 
 
+def assert_writers_match_record_view(scan, tmp_path):
+    """Both geometry writers against the record view, the oracle: a CSV line
+    per record, and the JSON a json.dumps line per record."""
+    records = list(geometry_scan_to_dicts(scan))
+    assert len(records) == scan.resolution**3 * len(scan.q_values)
+    fmt, flag = experiments._fmt, lambda b: "1" if b else "0"
+    csv_text = GEOMETRY_CSV_HEADER + "\n" + "".join(
+        f"{fmt(r['x'])},{fmt(r['y'])},{fmt(r['z'])},{flag(r['is_state'])},"
+        f"{flag(r['in_octahedron'])},{flag(r['sphere_detected'])},{fmt(r['q'])},"
+        f"{flag(r['tsallis_detected'])}\n"
+        for r in records
+    )
+    json_text = "[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n"
+    write_geometry_csv(scan, tmp_path / "geometry.csv")
+    write_geometry_json(scan, tmp_path / "geometry.json")
+    assert (tmp_path / "geometry.csv").read_bytes() == csv_text.encode()
+    assert (tmp_path / "geometry.json").read_bytes() == json_text.encode()
+
+
 def cells_by_coords(scan):
     """The scan's records grouped by cell: (x, y, z) -> a cell with its
     coords, its flags and tsallis_detected as a q -> flag dict."""
@@ -407,23 +426,36 @@ class TestGeometryScan:
         ],
     )
     def test_writers_match_record_view(self, tmp_path, resolution, q_values):
-        # the record view is the oracle: a CSV line per record, and the JSON
-        # a json.dumps line per record
-        scan = run_geometry_scan(resolution=resolution, q_values=q_values)
-        records = list(geometry_scan_to_dicts(scan))
-        assert len(records) == resolution**3 * len(q_values)
-        fmt, flag = experiments._fmt, lambda b: "1" if b else "0"
-        csv_text = GEOMETRY_CSV_HEADER + "\n" + "".join(
-            f"{fmt(r['x'])},{fmt(r['y'])},{fmt(r['z'])},{flag(r['is_state'])},"
-            f"{flag(r['in_octahedron'])},{flag(r['sphere_detected'])},{fmt(r['q'])},"
-            f"{flag(r['tsallis_detected'])}\n"
-            for r in records
+        assert_writers_match_record_view(run_geometry_scan(resolution, q_values), tmp_path)
+
+    def test_writers_match_record_view_over_generated_scans(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(derandomize=True, max_examples=40, deadline=None)
+        @hypothesis.given(
+            st.integers(2, 12),
+            st.lists(st.sampled_from((0.3, 0.5, 1.0, 2.0, 4.0, 15.0, 200.0)), max_size=4),
         )
-        json_text = "[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n"
-        write_geometry_csv(scan, tmp_path / "geometry.csv")
-        write_geometry_json(scan, tmp_path / "geometry.json")
-        assert (tmp_path / "geometry.csv").read_bytes() == csv_text.encode()
-        assert (tmp_path / "geometry.json").read_bytes() == json_text.encode()
+        def check(resolution, q_values):
+            assert_writers_match_record_view(run_geometry_scan(resolution, q_values), tmp_path)
+
+        check()
+
+    def test_writers_hold_a_few_slabs(self, tmp_path):
+        # each writer renders and writes one x-slab at a time, so its traced
+        # peak is a few slabs' text (the rendered slab, the encoded bytes and
+        # the reused pieces), not the file's 41 slabs
+        scan = run_geometry_scan(41, (2.0, 4.0, 15.0))
+        for writer in (write_geometry_csv, write_geometry_json):
+            path = tmp_path / "geometry"
+            tracemalloc.start()
+            try:
+                writer(scan, path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 6 * path.stat().st_size / 41, writer.__name__
 
     def test_shannon_scan_stays_in_columns(self):
         # q = 1 takes its terms column by column as the power sums do, so it

@@ -260,25 +260,28 @@ class TestExpectation:
 
     def test_hermiticity_bound_is_relative_to_the_norm(self):
         """U D U^dagger is Hermitian only up to a roundoff that grows with
-        its norm; each matrix is held to HERMITICITY_TOL * max(1, ||M||),
-        so these pass at norms 1e6 and 1e7, alone and in a stack, while a
-        defect of 1e-8 ||M|| fails."""
+        its norm; expectation and hermitian_eigen hold each matrix to
+        HERMITICITY_TOL * max(1, ||M||), so these pass at norms 1e6 and 1e7,
+        alone and in a stack, while a defect of 1e-8 ||M|| fails."""
         rng = np.random.default_rng(25)
         rho = np.eye(4) / 4
+        checks = (lambda m: expectation(rho, m), hermitian_eigen)
         for scale in (1e6, 1e7):
             stack = []
             for _ in range(250):
                 u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
                 m = u @ np.diag(rng.uniform(-scale, scale, 4)) @ u.conj().T
-                expectation(rho, m)
                 stack.append(m)
                 bad = m.copy()
                 bad[0, 1] += 1e-8 * np.linalg.norm(m)
+                for check in checks:
+                    check(m)
+                    with pytest.raises(NotHermitianError):
+                        check(bad)
+            for check in checks:
+                check(np.array(stack))
                 with pytest.raises(NotHermitianError):
-                    expectation(rho, bad)
-            expectation(rho, np.array(stack))
-            with pytest.raises(NotHermitianError):
-                expectation(rho, np.array(stack + [bad]))
+                    check(np.array(stack + [bad]))
 
 
 class TestHsNorm:
