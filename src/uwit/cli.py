@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -233,6 +234,26 @@ def _save_text(path, text: str) -> None:
     _save(path, lambda p: Path(p).write_text(text, encoding="utf-8"))
 
 
+_JSON_VERDICT = '    {{\n      "id": "{}",\n      "value": {},\n      "threshold": {},\n      "detected": {}\n    }}'
+_JSON_REPORT = '{{\n  "dims": [\n    {},\n    {}\n  ],\n  "criteria": [\n{}\n  ],\n  "npt": {},\n  "min_pt_eigenvalue": {}\n}}\n'
+_JSON_BOOL = {False: "false", True: "true"}
+
+
+def _json_text(report: dict) -> str:
+    """``json.dumps(report, indent=2) + "\\n"`` for an evaluate report with at
+    least one criterion, from a template with the values left out: a finite
+    float prints as float.__repr__, as json prints it, and a NaN or an
+    infinity takes json.dumps itself. Criterion ids are plain ASCII."""
+    entries, min_pt = report["criteria"], report["min_pt_eigenvalue"]
+    if not all(math.isfinite(x) for x in (min_pt, *(e[k] for e in entries for k in ("value", "threshold")))):
+        return json.dumps(report, indent=2) + "\n"
+    body = ",\n".join(
+        _JSON_VERDICT.format(e["id"], float.__repr__(e["value"]), float.__repr__(e["threshold"]), _JSON_BOOL[e["detected"]])
+        for e in entries
+    )
+    return _JSON_REPORT.format(*report["dims"], body, _JSON_BOOL[report["npt"]], float.__repr__(min_pt))
+
+
 def _cmd_evaluate(args) -> None:
     rho = load_state(args.state)
     if rho.dims != (2, 2):
@@ -256,7 +277,7 @@ def _cmd_evaluate(args) -> None:
             "npt": npt,
             "min_pt_eigenvalue": min_pt,
         }
-        text = json.dumps(report, indent=2) + "\n"
+        text = _json_text(report)
     else:
         lines = ["id,value,threshold,detected"]
         for v in verdicts:

@@ -12,7 +12,7 @@ entanglement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,7 +23,7 @@ from .errors import (
     InvalidParameterError,
 )
 from .linalg import expectation, hermitian_eigen
-from .states import _PAULI_BASIS, NPT_THRESHOLD, DensityMatrix, _bell_columns
+from .states import _PAULI_BASIS, NPT_THRESHOLD, DensityMatrix, _witness_values
 
 DEGENERACY_TOL = 1e-8
 PROBABILITY_TOL = -1e-12
@@ -129,26 +129,16 @@ def collective_paulis() -> tuple[Observable, Observable, Observable]:
     return tuple(Observable.from_matrix(m) for m in _PAULI_BASIS[1:4])
 
 
-def _witness_values(values):
-    """The linear and the nonlinear witness values from Pauli values: the
-    last axis holds Tr(rho P) for the seven P of states._PAULI_BASIS. The
-    linear value is Tr(rho (I + XX + YY + ZZ)); the nonlinear one subtracts
-    half the summed squared collective-Pauli means."""
-    t, mx, my, mz, x, y, z = (values[..., k] for k in range(7))
-    linear = t + x + y + z
-    return linear, linear - 0.5 * (mx**2 + my**2 + mz**2)
-
-
 def linear_witness_value(rho: DensityMatrix) -> float:
     """Expectation of I + XX + YY + ZZ; negative values certify entanglement."""
-    return float(_witness_values(rho._pauli_values)[0])
+    return rho._witnesses[1]
 
 
 def nonlinear_witness_value(rho: DensityMatrix) -> CriterionVerdict:
     """Nonlinear refinement of the linear witness: the squared means of the
     collective Paulis are subtracted, so the value never exceeds the linear
     one. Equals (summed collective-Pauli variances - 4)/2."""
-    value = float(_witness_values(rho._pauli_values)[1])
+    value = rho._witnesses[2]
     return CriterionVerdict(value, 0.0, _witness_detects(value), "nonlinear_witness")
 
 
@@ -157,8 +147,8 @@ def pauli_lur(rho: DensityMatrix) -> CriterionVerdict:
     summed variances of sigma_i x I + I x sigma_i at or above 4. As
     (sigma_i x I + I x sigma_i)^2 = 2 (I + sigma_i x sigma_i), the sum is
     4 Tr(rho) + 2N for the nonlinear witness value N, and N's rule decides it."""
-    nonlinear = float(_witness_values(rho._pauli_values)[1])
-    value = 4.0 * float(rho._pauli_values[0]) + 2.0 * nonlinear
+    t, _, nonlinear = rho._witnesses
+    value = 4.0 * t + 2.0 * nonlinear
     return CriterionVerdict(value, 4.0, _witness_detects(nonlinear), "pauli_lur")
 
 
@@ -270,10 +260,9 @@ def schmidt_entropy_bound(c: float, q: float) -> float:
 
 def bell_populations(rho: DensityMatrix) -> np.ndarray:
     """The four Bell-state populations <BS_i|rho|BS_i> of a two-qubit state,
-    from its trace and correlators. ``rho`` is a validated state, so negative
-    roundoff is clipped to 0 rather than re-checked."""
-    t, x, y, z = rho._pauli_values[[0, 4, 5, 6]]
-    return np.maximum(_bell_columns(x, y, z, t), 0.0)
+    from its trace and correlators, as a fresh array. ``rho`` is a validated
+    state, so negative roundoff is clipped to 0 rather than re-checked."""
+    return rho._bell_populations.copy()
 
 
 def _bell_tsallis_detects(columns, q: float):
@@ -294,22 +283,26 @@ def _bell_tsallis_detects(columns, q: float):
     return total > 2.0 ** (1.0 - q) * (1.0 + DETECTION_TOL), total
 
 
+def _bell_tsallis_verdict(rho: DensityMatrix, q: float, criterion_id: str) -> CriterionVerdict:
+    threshold = schmidt_entropy_bound(BELL_SCHMIDT_SQ, q)  # checks q
+    detected, total = _bell_tsallis_detects(rho._bell_populations[:, None], q)
+    value = -total[0] if q == 1.0 else (1.0 - total[0]) / (q - 1.0)
+    return CriterionVerdict(float(value), threshold, bool(detected[0]), criterion_id)
+
+
 def bell_variance_criterion(rho: DensityMatrix) -> CriterionVerdict:
     """Summed variances of the four Bell projectors, 1 - sum_i p_i^2, which
     separable states keep at or above 1/2. This is the q = 2 Tsallis test
     under its own id; on Bell-diagonal states it detects exactly
     x^2 + y^2 + z^2 > 1."""
-    return replace(bell_tsallis_criterion(rho, 2.0), criterion_id="bell_variance")
+    return _bell_tsallis_verdict(rho, 2.0, "bell_variance")
 
 
 def bell_tsallis_criterion(rho: DensityMatrix, q: float) -> CriterionVerdict:
     """Tsallis entropy of the Bell-population distribution against the
     Schmidt bound for c = 1/2; strengthens with growing q and reproduces the
     Bell-variance test at q = 2."""
-    threshold = schmidt_entropy_bound(BELL_SCHMIDT_SQ, q)  # checks q
-    detected, total = _bell_tsallis_detects(bell_populations(rho)[:, None], q)
-    value = -total[0] if q == 1.0 else (1.0 - total[0]) / (q - 1.0)
-    return CriterionVerdict(float(value), threshold, bool(detected[0]), f"bell_tsallis_q{q:g}")
+    return _bell_tsallis_verdict(rho, q, f"bell_tsallis_q{q:g}")
 
 
 def _linear_witness_verdicts(rho: DensityMatrix, q_values) -> list[CriterionVerdict]:

@@ -40,9 +40,11 @@ _BLOCK = 256
 # A sweep runs in process unless the time a pool would save exceeds the
 # pool's start-up (forking, sending the tasks, shutting down). Inside the
 # separable ball no first candidate is rejected, so the in-process time is
-# about _SAMPLE_S per sample; with 2 workers the pool pays from about 4,000
-# samples (2 cores, default 21-point grid, `uwit sweep` run end to end).
-_SAMPLE_S = 24e-6
+# about _DRAW_S per sample for the noise draw, which d = 0 skips, plus
+# _FLAG_S for the flags; with 2 workers the pool pays from about 4,000
+# samples at d > 0 and 25,000 at d = 0 (2 cores, default 21-point grid).
+_DRAW_S = 20e-6
+_FLAG_S = 4e-6
 _POOL_START_S = 0.05
 _SEPARABLE_RADIUS = 1.0 / np.sqrt(12.0)
 # closed-form sweep decisions this close to a threshold are re-decided per p
@@ -199,7 +201,7 @@ def sweep_workers(config: NoiseBallConfig, workers: int) -> int:
     runs only when the time it saves, the projected in-process time less
     that time shared out among the workers, exceeds its start-up."""
     workers = max(1, min(workers, -(-config.samples // _BLOCK)))
-    saved = config.samples * _SAMPLE_S * (1.0 - 1.0 / workers)
+    saved = config.samples * (_FLAG_S + (_DRAW_S if config.d > 0.0 else 0.0)) * (1.0 - 1.0 / workers)
     return 1 if config.d <= _SEPARABLE_RADIUS and saved <= _POOL_START_S else workers
 
 

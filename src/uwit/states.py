@@ -92,6 +92,22 @@ class DensityMatrix:
         values.setflags(write=False)
         return values
 
+    @cached_property
+    def _witnesses(self) -> tuple[float, float, float]:
+        """(Tr rho, linear, nonlinear witness value) from one _witness_values
+        call on the Pauli values as a batch of one, made at most once."""
+        linear, nonlinear = _witness_values(self._pauli_values[None])
+        return float(self._pauli_values[0]), float(linear[0]), float(nonlinear[0])
+
+    @cached_property
+    def _bell_populations(self) -> np.ndarray:
+        """The four Bell populations from one _bell_columns call on the
+        correlators and the trace, with negative roundoff clipped to 0 (rho
+        is valid); read-only."""
+        populations = np.maximum(_bell_columns(*self._pauli_values[[4, 5, 6, 0]]), 0.0)
+        populations.setflags(write=False)
+        return populations
+
 
 def _check_dims(dims) -> tuple[int, int]:
     """``dims`` as a pair of ints. A float or boolean entry is refused, not
@@ -393,6 +409,16 @@ def is_npt(rho: DensityMatrix) -> tuple[bool, float]:
     entanglement."""
     min_eig = float(_min_pt_eigenvalues(rho.matrix[None], rho.dims)[0])
     return min_eig < NPT_THRESHOLD, min_eig
+
+
+def _witness_values(values):
+    """The linear and the nonlinear witness values from Pauli values: the
+    last axis holds Tr(rho P) for the seven P of _PAULI_BASIS. The linear
+    value is Tr(rho (I + XX + YY + ZZ)); the nonlinear one subtracts half
+    the summed squared collective-Pauli means."""
+    t, mx, my, mz, x, y, z = (values[..., k] for k in range(7))
+    linear = t + x + y + z
+    return linear, linear - 0.5 * (mx**2 + my**2 + mz**2)
 
 
 def _bell_columns(x, y, z, t=1.0):

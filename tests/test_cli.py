@@ -1,9 +1,11 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from uwit.errors import (
     RejectionOverflowError,
     StateInvariantError,
 )
-from uwit.criteria import DETECTION_TOL, WITNESS_TOL, pauli_lur
+from uwit.criteria import CRITERION_CHOICES, DETECTION_TOL, WITNESS_TOL, pauli_lur
 from uwit.linalg import HERMITICITY_TOL, hermiticity_defect
 from uwit.states import (
     DensityMatrix,
@@ -38,6 +40,23 @@ def run_cli(*argv):
 def with_state(argv, state):
     """``argv`` with the placeholder "STATE" replaced by ``state``."""
     return [state if a == "STATE" else a for a in argv]
+
+
+def count_calls(monkeypatch, module, names) -> dict:
+    """Calls of ``module``'s functions ``names``, counted wherever a uwit
+    module holds them."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for holder in (uwit, uwit.linalg, states, criteria, experiments):
+            if getattr(holder, name, None) is original:
+                monkeypatch.setattr(holder, name, counted)
+    return calls
 
 
 class TestEvaluate:
@@ -92,20 +111,21 @@ class TestEvaluate:
         Hermiticity checks."""
         state = tmp_path / "ginibre.json"
         save_state(random_density_matrix((2, 2), np.random.default_rng(31)), state)
-        calls = {"expectation": 0, "hermiticity_defect": 0}
-        for name in calls:
-            original = getattr(uwit.linalg, name)
-
-            def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
-
-            for module in (uwit, uwit.linalg, uwit.states, criteria):
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counted)
+        calls = count_calls(monkeypatch, uwit.linalg, ("expectation", "hermiticity_defect"))
         assert run_cli("evaluate", state, "--q", "2", "--q", "4", "--q", "15") == 0
         assert len(json.loads(capsys.readouterr().out)["criteria"]) == 7
         assert calls["expectation"] <= 1 and calls["hermiticity_defect"] <= 4, calls
+
+    @pytest.mark.parametrize("q_args", [(), ("--q", "2"), ("--q", "0.5", "--q", "1", "--q", "2", "--q", "200")])
+    def test_derived_values_are_computed_once(self, tmp_path, monkeypatch, capsys, q_args):
+        """One evaluate makes one expectation call (the Pauli values), one
+        witness-kernel call and one Bell-column call, whatever the q list."""
+        state = tmp_path / "ginibre.json"
+        save_state(random_density_matrix((2, 2), np.random.default_rng(32)), state)
+        calls = count_calls(monkeypatch, states, ("expectation", "_witness_values", "_bell_columns"))
+        assert run_cli("evaluate", state, *q_args) == 0
+        assert len(json.loads(capsys.readouterr().out)["criteria"]) == 4 + max(1, len(q_args) // 2)
+        assert calls == {"expectation": 1, "_witness_values": 1, "_bell_columns": 1}
 
     def test_malformed_file_exits_2(self, tmp_path):
         state = tmp_path / "broken.json"
@@ -398,6 +418,43 @@ class TestWerner:
             assert abs(payload[key] - 1 / 3) <= 1e-6
 
 
+class TestJsonReport:
+    def test_template_prints_what_json_dumps_prints(self):
+        """The evaluate report's template against json.dumps(indent=2), the
+        oracle, over generated verdict lists; a NaN or an infinity takes
+        json.dumps itself."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        q_text = st.sampled_from([0.5, 1e-05, 200.0, 1.0, 3.0]) | st.floats(min_value=1e-300, max_value=1e300)
+        ids = st.sampled_from(CRITERION_CHOICES) | q_text.map(lambda q: f"bell_tsallis_q{q:g}")
+        verdict = st.builds(criteria.CriterionVerdict, st.floats(), st.floats(), st.booleans(), ids)
+        edge = [criteria.CriterionVerdict(v, 4.0, v < 0, "pauli_lur") for v in (-0.0, 5e-324, 1e308, 4.0)]
+        real_dumps = json.dumps
+
+        @hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
+        @hypothesis.given(st.lists(verdict, min_size=1, max_size=9), st.booleans(), st.floats())
+        @hypothesis.example(edge, False, -0.0)
+        @hypothesis.example(edge, True, float("nan"))
+        def check(verdicts, npt, min_pt):
+            report = {
+                "dims": [2, 2],
+                "criteria": [
+                    {"id": v.criterion_id, "value": v.value, "threshold": v.threshold, "detected": v.detected}
+                    for v in verdicts
+                ],
+                "npt": npt,
+                "min_pt_eigenvalue": min_pt,
+            }
+            expected = real_dumps(report, indent=2) + "\n"
+            fallbacks = []
+            with mock.patch.object(cli.json, "dumps", lambda *a, **k: fallbacks.append(a) or real_dumps(*a, **k)):
+                assert cli._json_text(report) == expected
+            numbers = [min_pt, *(x for v in verdicts for x in (v.value, v.threshold))]
+            assert len(fallbacks) == (not all(map(math.isfinite, numbers)))
+
+        check()
+
+
 class TestPinnedOutputs:
     """sha256 of outputs whose bytes must not move when the criterion
     kernels are reorganized; a deliberate change of output updates them."""
@@ -465,15 +522,44 @@ class TestPinnedOutputs:
                 ("geometry", "--resolution", "31", "--q", "2", "--q", "4", "--q", "15", "--format", "json"),
                 "adc100e841f2700c8b8f12eed6b6c98c13b6ec599a9a90029c1c863a134f61db",
             ),
+            (
+                # the evaluate-states benchmark's argv
+                ("evaluate", "STATE", "--q", "2", "--q", "4", "--q", "15"),
+                "78469945516b591daf6d61256a2b806882baefa9288fcb4d360cd0714691efc4",
+            ),
+            (
+                ("evaluate", "SEP", "--q", "2", "--q", "4", "--q", "15"),
+                "9abe638266c02a8cb639f974dfc7b2a3c6cbe4329fc4d72cf348886a5992b242",
+            ),
+            (
+                ("evaluate", "STATE", "--q", "0.5", "--q", "1", "--q", "2", "--q", "200"),
+                "43ee530a7e6885dbfc45f0373ec6bb8ba28b8b0eb1e1193b3b56e745c769d1dd",
+            ),
+            (
+                ("evaluate", "SEP", "--q", "0.5", "--q", "1", "--q", "2", "--q", "200"),
+                "409324401ff98a674be85a56fddc70e14b86bf6a650c1d19d8570ed8cb06096e",
+            ),
+            (
+                ("evaluate", "STATE", "--criteria", "bell_tsallis,linear_witness", "--q", "3"),
+                "16f71bc0c69708ed9f18878425fc056efff94ae2bfb590443e81da105cc8ea03",
+            ),
+            (
+                ("evaluate", "SEP", "--criteria", "bell_tsallis,linear_witness", "--q", "3"),
+                "fc717372838e8220e62399d3f9caf10880f1ec26397e4edab33fb07a1d562137",
+            ),
         ],
     )
     def test_output_digest(self, tmp_path, capsys, argv, digest):
-        # STATE is a seeded noisy singlet
+        # STATE is a seeded noisy singlet, SEP a seeded random separable state
         state = tmp_path / "noisy.json"
         if "STATE" in argv:
             assert run_cli("gen-state", "noisy-singlet", "0.9", "0.2", "--seed", "5", "--out", state) == 0
+        separable = tmp_path / "separable.json"
+        if "SEP" in argv:
+            assert run_cli("gen-state", "random-separable", "3", "--seed", "11", "--out", separable) == 0
         out = tmp_path / "out"
-        assert run_cli(*with_state(argv, state), "--out", out) == 0
+        argv = [separable if a == "SEP" else a for a in with_state(argv, state)]
+        assert run_cli(*argv, "--out", out) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

@@ -471,6 +471,19 @@ class TestBellCriteria:
         probs = measurement_distribution(rho, bell_basis)
         assert probs.min() == 0.0 and probs.max() == pytest.approx(1.0, abs=1e-9)
 
+    def test_cached_populations_are_read_only_and_copied_out(self):
+        # the criteria read one read-only cache per state; bell_populations
+        # hands out a fresh writable copy, so writing to it moves no verdict
+        rho = random_density_matrix((2, 2), np.random.default_rng(8))
+        before = [bell_variance_criterion(rho), bell_tsallis_criterion(rho, 3.0)]
+        assert not rho._bell_populations.flags.writeable
+        populations = bell_populations(rho)
+        assert populations.shape == (4,) and populations.flags.writeable
+        assert not np.shares_memory(populations, rho._bell_populations)
+        populations[:] = [1.0, 0.0, 0.0, 0.0]
+        assert [bell_variance_criterion(rho), bell_tsallis_criterion(rho, 3.0)] == before
+        assert bell_populations(rho).tolist() == rho._bell_populations.tolist() != populations.tolist()
+
 
 class TestConcavity:
     def test_variance_sum_concave_under_mixing(self):

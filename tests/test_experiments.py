@@ -260,6 +260,14 @@ class TestDetectionSweep:
         assert sweep_workers(NoiseBallConfig(d=outside, samples=257), 2) == 2
         assert sweep_workers(NoiseBallConfig(d=outside, samples=256), 2) == 1
 
+    def test_no_draw_share_at_d0(self):
+        # at d = 0 nothing is drawn, so a sample costs only its flags and the
+        # pool pays from about 25,000 samples instead of about 4,000
+        assert sweep_workers(NoiseBallConfig(d=0.0, samples=6000), 2) == 1
+        assert sweep_workers(NoiseBallConfig(d=0.0, samples=24000), 2) == 1
+        assert sweep_workers(NoiseBallConfig(d=0.0, samples=26000), 2) == 2
+        assert sweep_workers(NoiseBallConfig(d=0.2, samples=6000), 2) == 2
+
     @pytest.mark.parametrize("d, samples", [(0.2, 5000), (0.5, 300)])
     def test_real_pool_gives_in_process_bytes(self, tmp_path, monkeypatch, d, samples):
         # a ProcessPoolExecutor sweep that the rule chooses, against the same

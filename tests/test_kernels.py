@@ -46,6 +46,7 @@ from uwit.states import (
     PSD_TOL,
     DensityMatrix,
     NoiseBallConfig,
+    _bell_columns,
     _draw_noise_block,
     _min_pt_eigenvalues,
     _noise_candidates,
@@ -105,6 +106,28 @@ def test_scalar_witnesses_equal_batch_kernels(states):
     linear, nonlinear = _witness_values(expectation(np.array([s.matrix for s in states]), _PAULI_BASIS))
     assert [linear_witness_value(s) for s in states] == linear.tolist()
     assert [nonlinear_witness_value(s).value for s in states] == nonlinear.tolist()
+
+
+@pytest.mark.parametrize("family", ["ginibre", "separable"])
+def test_scalar_criteria_are_batch_kernels_on_a_batch_of_one(family):
+    """Over 500 states, every scalar criterion equals the batch kernels run
+    on the state as a batch of one, bit for bit."""
+    for rho in _stack(family, 24, 500):
+        values = expectation(rho.matrix[None], _PAULI_BASIS)
+        linear, nonlinear = _witness_values(values)
+        assert linear_witness_value(rho) == linear[0]
+        assert nonlinear_witness_value(rho).value == nonlinear[0]
+        assert pauli_lur(rho).detected == _witness_detects(nonlinear[0])
+        t, x, y, z = values[:, [0, 4, 5, 6]].T
+        populations = np.maximum(np.array(_bell_columns(x, y, z, t)), 0.0)
+        assert bell_populations(rho).tobytes() == populations[:, 0].tobytes()
+        for q in (*Q_VALUES, 0.5):
+            verdict = bell_tsallis_criterion(rho, q)
+            assert verdict.detected == _bell_tsallis_detects(populations, q)[0][0]
+            assert verdict.value == float(_entropy(populations[:, 0], q))
+        variance = bell_variance_criterion(rho)
+        assert variance.detected == _bell_tsallis_detects(populations, 2.0)[0][0]
+        assert variance.value == float(_entropy(populations[:, 0], 2.0))
 
 
 @BOUNDED
