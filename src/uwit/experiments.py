@@ -281,10 +281,15 @@ def run_geometry_scan(resolution: int = 101, q_values=(2.0, 4.0, 15.0)) -> Geome
         columns = [c.ravel() for c in _bell_columns(axis[:, None, None], axis[:, None], axis)]
         is_state = _tetrahedron_mask(columns)
         in_octahedron = _octahedron_mask(columns, is_state)
-        # clamped as bell_populations clamps; the q = 2 decision is also the sphere's
-        for c in columns:
-            np.maximum(c, 0.0, out=c)
-        detected = {q: is_state & _bell_tsallis_detects(columns, q)[0] for q in dict.fromkeys((2.0, *q_values))}
+        # detections are reported only on state cells, so only those are
+        # decided; clamped as bell_populations clamps, and the q = 2
+        # decision is also the sphere's
+        cells = np.flatnonzero(is_state)
+        state_columns = [np.maximum(c[cells], 0.0) for c in columns]
+        detected = {}
+        for q in dict.fromkeys((2.0, *q_values)):
+            detected[q] = np.zeros_like(is_state)
+            detected[q][cells] = _bell_tsallis_detects(state_columns, q)[0]
     except MemoryError as exc:  # numpy refuses an allocation it cannot make
         raise InvalidParameterError(f"resolution {resolution} needs too much memory: {exc}") from None
 

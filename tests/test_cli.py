@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -679,16 +680,55 @@ class TestParameterBoundary:
             run_cli("werner")
 
 
-def run_python(*args):
-    """A fresh interpreter that imports uwit from this checkout, installed or not."""
+def run_python(*args, env=None):
+    """A fresh interpreter that imports uwit from this checkout, installed or
+    not, in ``env`` (default this process's environment)."""
+    env = os.environ if env is None else env
     src = str(Path(__file__).resolve().parents[1] / "src")
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    pythonpath = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env={**env, "PYTHONPATH": pythonpath},
     )
+
+
+# the package's public names by submodule, as the eagerly importing package
+# exported them
+PUBLIC_NAMES = {
+    "errors": [
+        "ConvergenceError", "DegenerateObservableError", "DimensionMismatchError",
+        "InvalidParameterError", "InvalidWeightError", "NotHermitianError", "NotPositiveError",
+        "NumericalDefectError", "RejectionOverflowError", "StateFormatError",
+        "StateInvariantError", "UwitError",
+    ],
+    "linalg": [
+        "ID2", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "Spectrum", "expectation", "hermitian_eigen",
+        "hs_norm", "kron", "partial_transpose",
+    ],
+    "states": [
+        "BellDiagonalCoords", "DensityMatrix", "NoiseBallConfig", "PureState",
+        "bell_diagonal_state", "bell_populations_from_coords", "bell_state", "bell_states",
+        "coords_of", "in_state_tetrahedron", "in_witness_octahedron", "is_npt", "load_state",
+        "maximally_mixed", "noise_rng", "noisy_singlet", "random_density_matrix",
+        "random_product_state", "random_pure_state", "random_separable_state",
+        "sample_noise_ball", "save_state", "schmidt_coefficients", "singlet_projector",
+        "werner_state",
+    ],
+    "criteria": [
+        "CriterionVerdict", "Observable", "bell_populations", "bell_tsallis_criterion",
+        "bell_variance_criterion", "collective_paulis", "entropic_sum_criterion",
+        "linear_witness_value", "lur_value", "maassen_bound", "measurement_distribution",
+        "nonlinear_witness_value", "pauli_lur", "schmidt_entropy_bound", "shannon_entropy",
+        "tsallis_entropy", "variance",
+    ],
+    "experiments": [
+        "DetectionRow", "GeometryScan", "WernerThresholds", "default_p_grid",
+        "evaluate_detection_flags", "run_detection_sweep", "run_geometry_scan",
+        "werner_thresholds", "write_detection_csv", "write_geometry_csv",
+    ],
+}  # fmt: skip
 
 
 class TestParser:
@@ -705,6 +745,101 @@ class TestParser:
         code = "import sys, uwit, uwit.cli; print('concurrent.futures.process' in sys.modules)"
         result = run_python("-c", code)
         assert result.returncode == 0 and result.stdout == "False\n"
+
+    def test_import_loads_nothing(self):
+        # the package is lazy: importing it, or reading an error class,
+        # loads no numpy and leaves the environment as it was
+        code = (
+            "import os, sys; env = dict(os.environ); import uwit; a = 'numpy' in sys.modules; "
+            "uwit.UwitError; print(a, 'numpy' in sys.modules, dict(os.environ) == env)"
+        )
+        result = run_python("-c", code)
+        assert result.returncode == 0 and result.stdout == "False False True\n"
+
+    def test_public_names(self):
+        assert uwit.__all__ == sorted([*PUBLIC_NAMES, *(n for names in PUBLIC_NAMES.values() for n in names)])
+        for module, names in PUBLIC_NAMES.items():
+            submodule = importlib.import_module(f"uwit.{module}")
+            assert getattr(uwit, module) is submodule
+            for name in names:
+                assert getattr(uwit, name) is getattr(submodule, name), name
+        assert set(uwit.__all__) <= set(dir(uwit))
+        with pytest.raises(AttributeError):
+            uwit.no_such_name
+
+    @pytest.mark.parametrize("preset", [None, "3"])
+    @pytest.mark.parametrize("entry", ["python -m uwit", "uwit script"])
+    def test_entry_point_pins_openblas_threads(self, entry, preset):
+        # one OpenBLAS thread unless the caller chose a count, set before
+        # numpy loads: the hook prints the value numpy's import sees
+        if entry == "python -m uwit":
+            run = "import runpy; runpy.run_module('uwit', run_name='__main__')"
+        else:  # the function [project.scripts] names
+            tomllib = pytest.importorskip("tomllib")
+            pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+            module, func = tomllib.loads(pyproject.read_text())["project"]["scripts"]["uwit"].split(":")
+            run = f"import {module}; sys.exit({module}.{func}())"
+        code = (
+            "import os, sys\n"
+            "def hook(event, args):\n"
+            "    if event == 'import' and args[0] == 'numpy' and 'numpy' not in sys.modules:\n"
+            "        print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "sys.addaudithook(hook)\n"
+            "sys.argv = ['uwit', '--version']\n" + run
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        result = run_python("-c", code, env=env)
+        assert result.returncode == 0
+        assert result.stdout.splitlines() == [preset or "1", f"uwit {uwit.__version__}"]
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("werner",), 0),
+            (("evaluate", "STATE", "--q", "0.5", "--q", "200"), 0),
+            (("sweep", "--frobnicate"), 2),
+            (("evaluate", "BAD"), 3),
+            (("werner", "--out", "MISSING/werner.txt"), 4),
+        ],
+    )
+    def test_module_exit_keeps_codes_and_output(self, tmp_path, capsys, argv, code):
+        # the command ends without interpreter teardown once its streams are
+        # flushed: the exit code and every printed byte are as in process
+        state, bad = tmp_path / "noisy.json", tmp_path / "bad.json"
+        assert run_cli("gen-state", "noisy-singlet", "0.9", "0.2", "--seed", "5", "--out", state) == 0
+        bad.write_text(json.dumps({"dims": [2, 2], "re": (0.5 * np.eye(4)).tolist(), "im": np.zeros((4, 4)).tolist()}))
+        replace = {"STATE": str(state), "BAD": str(bad), "MISSING/werner.txt": str(tmp_path / "missing" / "w.txt")}
+        argv = [replace.get(a, a) for a in argv]
+        capsys.readouterr()
+        assert run_cli(*argv) == code
+        expected = capsys.readouterr()
+        buffered = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        result = run_python("-m", "uwit", *argv, env=buffered)
+        assert (result.returncode, result.stdout, result.stderr) == (code, expected.out, expected.err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--samples", "6000", "--seed", "3", "--workers", "2"),
+            ("geometry", "--resolution", "31", "--format", "json"),
+            ("evaluate", "STATE", "--q", "0.5", "--q", "1", "--q", "200"),
+        ],
+    )
+    def test_openblas_thread_count_moves_no_byte(self, tmp_path, argv):
+        state = tmp_path / "noisy.json"
+        assert run_cli("gen-state", "noisy-singlet", "0.9", "0.2", "--seed", "5", "--out", state) == 0
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            result = run_python("-m", "uwit", *with_state(argv, str(state)), "--out", str(out), env=env)
+            assert result.returncode == 0, result.stderr
+            if argv[0] == "sweep":
+                assert "workers=2)" in result.stdout  # the pooled path
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 @pytest.fixture

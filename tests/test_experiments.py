@@ -8,6 +8,7 @@ import pytest
 from uwit import experiments, states
 from uwit.criteria import (
     WITNESS_TOL,
+    _bell_tsallis_detects,
     _witness_detects,
     linear_witness_value,
     nonlinear_witness_value,
@@ -35,6 +36,8 @@ from uwit.states import (
     NPT_THRESHOLD,
     BellDiagonalCoords,
     NoiseBallConfig,
+    _bell_columns,
+    _tetrahedron_mask,
     is_npt,
     noise_rng,
     noisy_singlet,
@@ -435,6 +438,34 @@ class TestGeometryScan:
     )
     def test_writers_match_record_view(self, tmp_path, resolution, q_values):
         assert_writers_match_record_view(run_geometry_scan(resolution, q_values), tmp_path)
+
+    def test_state_cell_detections_match_full_cube_kernel(self):
+        # the scan decides detections on the state cells only; the oracle
+        # decides every cell of the cube and masks afterwards
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        def full_cube(resolution, q_values):
+            axis = np.linspace(-1.0, 1.0, resolution)
+            columns = [c.ravel() for c in _bell_columns(axis[:, None, None], axis[:, None], axis)]
+            is_state = _tetrahedron_mask(columns)
+            for c in columns:
+                np.maximum(c, 0.0, out=c)
+            return {q: is_state & _bell_tsallis_detects(columns, q)[0] for q in (2.0, *q_values)}
+
+        @hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
+        @hypothesis.given(
+            st.integers(2, 40),
+            st.lists(st.sampled_from((0.3, 0.5, 1.0, 2.0, 4.0, 15.0, 200.0)), max_size=4),
+        )
+        def check(resolution, q_values):
+            scan = run_geometry_scan(resolution, q_values)
+            expected = full_cube(resolution, q_values)
+            assert np.array_equal(scan.sphere_detected, expected[2.0])
+            for q in q_values:
+                assert np.array_equal(scan.tsallis_detected[q], expected[q]), q
+
+        check()
 
     def test_writers_match_record_view_over_generated_scans(self, tmp_path):
         hypothesis = pytest.importorskip("hypothesis")
