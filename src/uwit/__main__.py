@@ -14,16 +14,15 @@ import sys
 def main():
     """Run the command on ``sys.argv`` and end the process with its exit code.
 
-    Once the command has returned, its files are closed and only its
-    standard streams hold buffered output, so the process ends after
-    flushing them, without the interpreter's teardown, which with numpy
-    loaded took 13-31 ms of a 120-290 ms command on 2 cores. An exception
-    escaping the command takes Python's usual exit."""
+    Once the command has returned, its files are closed and its standard
+    output flushed, so the process ends after flushing standard error,
+    without the interpreter's teardown, which with numpy loaded took 13-31
+    ms of a 120-290 ms command on 2 cores. An exception escaping the
+    command takes Python's usual exit."""
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .cli import main as cli_main
 
     code = cli_main()
-    sys.stdout.flush()
     sys.stderr.flush()
     os._exit(code)
 

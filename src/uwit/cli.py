@@ -9,15 +9,15 @@ Exit codes: 0 success (detection results are data, never an error),
 2 malformed input or bad parameters (including NaN, infinite or
 non-integer values where a finite number or an integer is needed; flag
 errors print argparse's usage line), 3 a state file violating the
-density-matrix invariants, 4 an unwritable output path, 5 a numerical
-defect (a sweep or Werner result breaking an exact-arithmetic invariant, or
-an eigendecomposition that did not converge)."""
+density-matrix invariants, 4 an unwritable output path or standard
+output, 5 a numerical defect (a sweep or Werner result breaking an
+exact-arithmetic invariant, or an eigendecomposition that did not
+converge)."""
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -234,24 +234,25 @@ def _save_text(path, text: str) -> None:
     _save(path, lambda p: Path(p).write_text(text, encoding="utf-8"))
 
 
+def _print(text: str) -> None:
+    """Write ``text`` to standard output through _save; main flushes it."""
+    _save("standard output", lambda _: sys.stdout.write(text))
+
+
 _JSON_VERDICT = '    {{\n      "id": "{}",\n      "value": {},\n      "threshold": {},\n      "detected": {}\n    }}'
 _JSON_REPORT = '{{\n  "dims": [\n    {},\n    {}\n  ],\n  "criteria": [\n{}\n  ],\n  "npt": {},\n  "min_pt_eigenvalue": {}\n}}\n'
 _JSON_BOOL = {False: "false", True: "true"}
 
 
-def _json_text(report: dict) -> str:
-    """``json.dumps(report, indent=2) + "\\n"`` for an evaluate report with at
-    least one criterion, from a template with the values left out: a finite
-    float prints as float.__repr__, as json prints it, and a NaN or an
-    infinity takes json.dumps itself. Criterion ids are plain ASCII."""
-    entries, min_pt = report["criteria"], report["min_pt_eigenvalue"]
-    if not all(math.isfinite(x) for x in (min_pt, *(e[k] for e in entries for k in ("value", "threshold")))):
-        return json.dumps(report, indent=2) + "\n"
+def _json_text(dims, verdicts, npt: bool, min_pt: float) -> str:
+    """The evaluate report of at least one verdict as json.dumps(indent=2)
+    prints it, from a template: every number of a report is finite (README)
+    and prints as float.__repr__, as json prints it; ids are plain ASCII."""
     body = ",\n".join(
-        _JSON_VERDICT.format(e["id"], float.__repr__(e["value"]), float.__repr__(e["threshold"]), _JSON_BOOL[e["detected"]])
-        for e in entries
+        _JSON_VERDICT.format(v.criterion_id, float.__repr__(v.value), float.__repr__(v.threshold), _JSON_BOOL[v.detected])
+        for v in verdicts
     )
-    return _JSON_REPORT.format(*report["dims"], body, _JSON_BOOL[report["npt"]], float.__repr__(min_pt))
+    return _JSON_REPORT.format(*dims, body, _JSON_BOOL[npt], float.__repr__(min_pt))
 
 
 def _cmd_evaluate(args) -> None:
@@ -263,21 +264,7 @@ def _cmd_evaluate(args) -> None:
     npt, min_pt = is_npt(rho)
 
     if args.format == "json":
-        report = {
-            "dims": list(rho.dims),
-            "criteria": [
-                {
-                    "id": v.criterion_id,
-                    "value": v.value,
-                    "threshold": v.threshold,
-                    "detected": v.detected,
-                }
-                for v in verdicts
-            ],
-            "npt": npt,
-            "min_pt_eigenvalue": min_pt,
-        }
-        text = _json_text(report)
+        text = _json_text(rho.dims, verdicts, npt, min_pt)
     else:
         lines = ["id,value,threshold,detected"]
         for v in verdicts:
@@ -285,7 +272,7 @@ def _cmd_evaluate(args) -> None:
         lines.append(f"npt,{min_pt:.9g},{NPT_THRESHOLD:.9g},{int(npt)}")
         text = "\n".join(lines) + "\n"
     if args.out is None:
-        sys.stdout.write(text)
+        _print(text)
     else:
         _save_text(args.out, text)
 
@@ -299,9 +286,9 @@ def _cmd_sweep(args) -> None:
     write = write_detection_csv if args.format == "csv" else write_detection_json
     _save(out, lambda path: write(rows, path))
     workers = sweep_workers(config, args.workers)
-    print(
+    _print(
         f"sweep: wrote {len(rows)} rows to {out} "
-        f"(d={args.d:g}, samples={args.samples}, seed={seed}, workers={workers})"
+        f"(d={args.d:g}, samples={args.samples}, seed={seed}, workers={workers})\n"
     )
 
 
@@ -310,17 +297,17 @@ def _cmd_geometry(args) -> None:
     out = f"geometry.{args.format}" if args.out is None else args.out
     write = write_geometry_csv if args.format == "csv" else write_geometry_json
     _save(out, lambda path: write(scan, path))
-    print(
+    _print(
         f"geometry: wrote {len(scan) * len(scan.q_values)} rows to {out} "
-        f"(resolution={scan.resolution}, q={[float(q) for q in scan.q_values]})"
+        f"(resolution={scan.resolution}, q={[float(q) for q in scan.q_values]})\n"
     )
 
 
 def _cmd_werner(args) -> None:
     thresholds = werner_thresholds()
-    print(
+    _print(
         f"werner thresholds: witness={thresholds.witness:.9g} "
-        f"lur={thresholds.lur:.9g} npt={thresholds.npt:.9g}"
+        f"lur={thresholds.lur:.9g} npt={thresholds.npt:.9g}\n"
     )
     if args.out is not None:
         _save_text(args.out, json.dumps(asdict(thresholds), indent=2) + "\n")
@@ -332,21 +319,22 @@ def _cmd_gen_state(args) -> None:
         raise InvalidParameterError(f"{args.kind} takes {arity} parameter(s), got {len(args.params)}")
     rho = build(args.params, args.seed)
     _save(args.out, lambda path: save_state(rho, path))
-    print(f"gen-state: wrote {args.kind} state to {args.out}")
+    _print(f"gen-state: wrote {args.kind} state to {args.out}\n")
 
 
 def main(argv=None) -> int:
+    """Run the command on ``argv`` (default ``sys.argv[1:]``) and return its
+    exit code. Standard output is flushed through _save before the return,
+    also after an error, so a failed write to it is exit 4 as well."""
     try:
-        args = _shared_parser().parse_args(argv)
+        try:
+            args = _shared_parser().parse_args(argv)
+            args.run(args)
+        finally:
+            _save("standard output", lambda _: sys.stdout.flush())
     except SystemExit as exc:  # argparse has printed help, the version or a usage error
         return int(exc.code) if exc.code is not None else EXIT_OK
-    try:
-        args.run(args)
     except UwitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -22,7 +22,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
 )
-from .linalg import expectation, hermitian_eigen
+from .linalg import _traces, expectation, hermitian_eigen
 from .states import _PAULI_BASIS, NPT_THRESHOLD, DensityMatrix, _witness_values
 
 DEGENERACY_TOL = 1e-8
@@ -107,11 +107,11 @@ def _witness_detects(value):
 
 def variance(rho: DensityMatrix, m) -> float:
     """Variance <M^2> - <M>^2 of an observable in a state (clamped at 0).
-    <M^2> is read from the pair that expectation checked, with expectation's
-    einsum and no second check: M^2 is Hermitian only up to roundoff."""
+    <M^2> is read from the pair that expectation checked, by the same trace
+    kernel and no second check: M^2 is Hermitian only up to roundoff."""
     mat = m.matrix if isinstance(m, Observable) else np.asarray(m, dtype=complex)
     mean = expectation(rho.matrix, mat)
-    second = complex(np.einsum("ij,ji->", rho.matrix, mat @ mat)).real
+    second = _traces(rho.matrix, mat @ mat)
     return max(second - mean * mean, 0.0)
 
 
@@ -176,10 +176,11 @@ def _check_q(q: float) -> float:
 def measurement_distribution(rho: DensityMatrix, m: Observable) -> np.ndarray:
     """Outcome probabilities Tr(rho X_i), one per distinct eigenvalue of the
     observable, ordered by ascending eigenvalue. ``rho`` is a validated
-    state, so negative roundoff is clipped to 0 rather than re-checked."""
+    state, so negative roundoff is clipped to 0 rather than re-checked. One
+    expectation call takes the stack of projectors."""
     if m.dim != rho.dim:
         raise DimensionMismatchError(f"dimension mismatch: state {rho.dim}, observable {m.dim}")
-    return np.clip([expectation(rho.matrix, projector) for _, projector in m.spectral], 0.0, None)
+    return np.clip(expectation(rho.matrix, np.array([x for _, x in m.spectral])), 0.0, None)
 
 
 def _shannon_terms(probs):
@@ -214,12 +215,9 @@ def maassen_bound(m: Observable, n: Observable) -> float:
             raise DegenerateObservableError(f"observable {name} has a degenerate spectrum")
     if m.dim != n.dim:
         raise DimensionMismatchError(f"dimension mismatch: {m.dim} vs {n.dim}")
-    overlap_sq = max(
-        float(np.einsum("ij,ji->", xi, yj).real)
-        for _, xi in m.spectral
-        for _, yj in n.spectral
-    )
-    overlap_sq = min(max(overlap_sq, 1e-300), 1.0)
+    # Tr(X_i Y_j) = |<m_i|n_j>|^2 for the rank-one projectors X_i of m and Y_j of n
+    xs, ys = (np.array([x for _, x in obs.spectral]) for obs in (m, n))
+    overlap_sq = min(max(float(_traces(xs, ys).max()), 1e-300), 1.0)
     return -math.log(overlap_sq)
 
 
@@ -272,15 +270,18 @@ def _bell_tsallis_detects(columns, q: float):
     below the Schmidt bound for c = 1/2, and the sum of p^q (p ln p at
     q = 1), added as np.sum adds a length-4 axis. For q != 1 the verdict
     compares sum p^q with 2^(1-q), avoiding the 1 - sum(p^q) cancellation
-    at large q; the guard is relative as detections reach 2^(1-q) scales."""
+    at large q; the guard is relative as detections reach 2^(1-q) scales.
+    2^(1-q) is 2 * 0.5^q by the terms' array power, the sum of (1/2, 1/2, 0,
+    0), so the two stay equal where both are subnormal (q above 1022)."""
     c0, c1, c2, c3 = columns
     term = _shannon_terms if q == 1.0 else (lambda c: c**q)
     total = ((term(c0) + term(c1)) + term(c2)) + term(c3)
+    bound = 2.0 * np.power(0.5, q)
     if q < 1.0:
-        return total < 2.0 ** (1.0 - q) * (1.0 - DETECTION_TOL), total
+        return total < bound * (1.0 - DETECTION_TOL), total
     if q == 1.0:  # the entropy -total below the bound
         return total > DETECTION_TOL - schmidt_entropy_bound(BELL_SCHMIDT_SQ, 1.0), total
-    return total > 2.0 ** (1.0 - q) * (1.0 + DETECTION_TOL), total
+    return total > bound * (1.0 + DETECTION_TOL), total
 
 
 def _bell_tsallis_verdict(rho: DensityMatrix, q: float, criterion_id: str) -> CriterionVerdict:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidParameterError, NumericalDefectError
-from .linalg import expectation, hermitian_eigen, partial_transpose
+from .linalg import _traces, hermitian_eigen, partial_transpose
 from .states import (
     _PAULI_BASIS,
     NPT_THRESHOLD,
@@ -102,10 +102,11 @@ def _block_flags(sigma: np.ndarray, p: float):
     The witnesses use the batch kernels of the scalar criteria and NPT the
     kernel of is_npt, so each flag is the scalar verdict. This is the
     per-p reference: _sweep_flags falls back on it near a threshold, and
-    evaluate_detection_flags calls it on a sweep's sigma.
+    evaluate_detection_flags calls it on a sweep's sigma. Each sigma_i and
+    mixture is exactly Hermitian, so the trace kernel takes them unchecked.
     """
     rho = p * _SINGLET[None, :, :] + (1.0 - p) * sigma
-    linear, nonlinear = _witness_values(expectation(rho, _PAULI_BASIS))
+    linear, nonlinear = _witness_values(_traces(rho, _PAULI_BASIS))
     npt = _min_pt_eigenvalues(rho, (2, 2)) < NPT_THRESHOLD
     return _witness_detects(linear), _witness_detects(nonlinear), npt
 
@@ -129,7 +130,7 @@ def _sweep_flags(sigma: np.ndarray, p_grid) -> tuple[np.ndarray, np.ndarray, np.
     """
     p = np.asarray(p_grid, dtype=float)
     q = 1.0 - p
-    linear_sigma, nonlinear_sigma = _witness_values(expectation(sigma, _PAULI_BASIS))
+    linear_sigma, nonlinear_sigma = _witness_values(_traces(sigma, _PAULI_BASIS))
     half_means_sq = linear_sigma - nonlinear_sigma
     linear = -2.0 * p + q * linear_sigma[:, None]
     nonlinear = linear - q**2 * half_means_sq[:, None]

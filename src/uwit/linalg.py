@@ -97,13 +97,19 @@ def partial_transpose(m, dims: tuple[int, int]) -> np.ndarray:
     return a.reshape(*a.shape[:-2], da, db, da, db).swapaxes(-3, -1).reshape(a.shape)
 
 
+def _traces(r: np.ndarray, o: np.ndarray):
+    """Re Tr(r M), unchecked, for each matrix of ``r`` and M of ``o``: uwit's
+    one trace kernel, with r's stack axes then o's (a float for two matrices).
+    A pair's entrywise products are summed in one order, whatever the stacks."""
+    r = r.reshape(r.shape[:-2] + (1,) * (o.ndim - 2) + r.shape[-2:])
+    values = (r * np.ascontiguousarray(o.swapaxes(-2, -1))).sum(axis=(-2, -1)).real
+    return float(values) if values.ndim == 0 else values
+
+
 def expectation(rho, m):
-    """Tr(rho M), real part, for Hermitian rho and M; either may be a
-    (..., n, n) stack. Two matrices give a float, by numpy's einsum.
-    Otherwise the result has rho's stack axes followed by m's, one value per
-    (state, observable) pair, and a pair's value does not depend on the
-    stacks it sits in; it may differ from the two-matrix value in the last
-    bit, since its sum runs in another order.
+    """Tr(rho M), real part, for Hermitian rho and M, by _traces; either may
+    be a (..., n, n) stack, and a pair's value does not depend on the stacks
+    it sits in.
 
     Each matrix must be Hermitian within HERMITICITY_TOL * max(1, ||M||),
     which for a density matrix is HERMITICITY_TOL itself; a non-finite
@@ -115,12 +121,7 @@ def expectation(rho, m):
         raise DimensionMismatchError(f"shape mismatch {r.shape} vs {o.shape}")
     _check_hermitian(r, "rho")
     _check_hermitian(o, "m")
-    if r.ndim == o.ndim == 2:
-        return complex(np.einsum("ij,ji->", r, o)).real
-    # the entrywise products of each pair, summed over the last two axes:
-    # each pair's sum then runs in one order, whatever the stacks
-    r = r.reshape(r.shape[:-2] + (1,) * (o.ndim - 2) + r.shape[-2:])
-    return (r * np.ascontiguousarray(o.swapaxes(-2, -1))).sum(axis=(-2, -1)).real
+    return _traces(r, o)
 
 
 def hermitian_eigen(h) -> Spectrum:

@@ -373,26 +373,27 @@ def _draw_noise_block(seed: int, d: float, start: int, stop: int) -> np.ndarray:
     for i in [start, stop), with all first candidates built as one batch. The
     keys are seeded by _pcg64_states, each on one reused generator. A sample
     whose first candidate is rejected is redrawn by _draw_noise_matrix on
-    noise_rng(seed, i), which replays that candidate."""
+    that generator, reseeded with its key, which replays that candidate."""
     n = stop - start
     if d == 0.0:
         return np.tile(np.eye(4, dtype=complex) / 4.0, (n, 1, 1))
-    normals = np.empty((n, 2, 4, 4))
-    uniforms = np.empty(n)
+    keys = _pcg64_states(seed, start, stop)
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    for j, (state, inc) in enumerate(_pcg64_states(seed, start, stop)):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        rng.standard_normal(out=normals[j])
+
+    def keyed(j: int) -> np.random.Generator:
+        state, inc = keys[j]
+        bit_generator.state = {"bit_generator": "PCG64", "state": dict(state=state, inc=inc), "has_uint32": 0, "uinteger": 0}
+        return rng
+
+    normals = np.empty((n, 2, 4, 4))
+    uniforms = np.empty(n)
+    for j in range(n):
+        keyed(j).standard_normal(out=normals[j])
         uniforms[j] = rng.random()  # uniform() is 0 + 1 * random(): the same bits
     sigma, accepted = _noise_candidates(d, normals, uniforms)
     for j in np.flatnonzero(~accepted):
-        sigma[j] = _draw_noise_matrix(d, noise_rng(seed, start + j))
+        sigma[j] = _draw_noise_matrix(d, keyed(j))
     return sigma
 
 

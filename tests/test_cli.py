@@ -25,10 +25,14 @@ from uwit.criteria import CRITERION_CHOICES, DETECTION_TOL, WITNESS_TOL, pauli_l
 from uwit.linalg import HERMITICITY_TOL, hermiticity_defect
 from uwit.states import (
     DensityMatrix,
+    PureState,
     bell_states,
     is_npt,
     maximally_mixed,
+    noisy_singlet,
     random_density_matrix,
+    random_separable_state,
+    sample_noise_ball,
     save_state,
     werner_state,
 )
@@ -422,20 +426,20 @@ class TestWerner:
 class TestJsonReport:
     def test_template_prints_what_json_dumps_prints(self):
         """The evaluate report's template against json.dumps(indent=2), the
-        oracle, over generated verdict lists; a NaN or an infinity takes
-        json.dumps itself."""
+        oracle, over generated lists of finite verdicts (every number a
+        report holds is finite: test_report_numbers_are_finite)."""
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
+        finite = st.floats(allow_nan=False, allow_infinity=False)
         q_text = st.sampled_from([0.5, 1e-05, 200.0, 1.0, 3.0]) | st.floats(min_value=1e-300, max_value=1e300)
         ids = st.sampled_from(CRITERION_CHOICES) | q_text.map(lambda q: f"bell_tsallis_q{q:g}")
-        verdict = st.builds(criteria.CriterionVerdict, st.floats(), st.floats(), st.booleans(), ids)
+        verdict = st.builds(criteria.CriterionVerdict, finite, finite, st.booleans(), ids)
         edge = [criteria.CriterionVerdict(v, 4.0, v < 0, "pauli_lur") for v in (-0.0, 5e-324, 1e308, 4.0)]
-        real_dumps = json.dumps
 
         @hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
-        @hypothesis.given(st.lists(verdict, min_size=1, max_size=9), st.booleans(), st.floats())
+        @hypothesis.given(st.lists(verdict, min_size=1, max_size=9), st.booleans(), finite)
         @hypothesis.example(edge, False, -0.0)
-        @hypothesis.example(edge, True, float("nan"))
+        @hypothesis.example(edge, True, -5e-324)
         def check(verdicts, npt, min_pt):
             report = {
                 "dims": [2, 2],
@@ -446,12 +450,46 @@ class TestJsonReport:
                 "npt": npt,
                 "min_pt_eigenvalue": min_pt,
             }
-            expected = real_dumps(report, indent=2) + "\n"
-            fallbacks = []
-            with mock.patch.object(cli.json, "dumps", lambda *a, **k: fallbacks.append(a) or real_dumps(*a, **k)):
-                assert cli._json_text(report) == expected
+            assert cli._json_text((2, 2), verdicts, npt, min_pt) == json.dumps(report, indent=2) + "\n"
+
+        check()
+
+    def test_report_numbers_are_finite(self):
+        """Every value, threshold and least partial-transpose eigenvalue that
+        evaluate reports is finite, over Ginibre, random separable and noisy
+        singlet states, |00> and |01>, at q across the accepted range: the
+        template needs no fallback for a NaN or an infinity."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        seeds = st.integers(0, 2**32 - 1)
+        product = [PureState(np.eye(4)[k], (2, 2)).density() for k in (0, 1)]
+        state = st.one_of(
+            seeds.map(lambda s: random_density_matrix((2, 2), np.random.default_rng(s))),
+            st.builds(lambda k, s: random_separable_state(k, np.random.default_rng(s)), st.integers(1, 6), seeds),
+            st.builds(
+                lambda p, d, s: noisy_singlet(p, sample_noise_ball(d, np.random.default_rng(s))),
+                st.floats(0.0, 1.0),
+                st.floats(0.0, 0.5),
+                seeds,
+            ),
+            st.sampled_from(product),
+        )
+        edges = [1e-300, 1e300, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 200.0]
+        q = st.sampled_from(edges) | st.floats(min_value=1e-300, max_value=1e300)
+
+        def refuse(constant):
+            raise AssertionError(f"the report holds {constant}")
+
+        @hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+        @hypothesis.given(state, st.lists(q, min_size=1, max_size=4))
+        @hypothesis.example(product[0], edges)
+        @hypothesis.example(product[1], edges)
+        def check(rho, q_values):
+            verdicts = [v for name in CRITERION_CHOICES for v in criteria._CRITERIA[name](rho, q_values)]
+            npt, min_pt = is_npt(rho)
             numbers = [min_pt, *(x for v in verdicts for x in (v.value, v.threshold))]
-            assert len(fallbacks) == (not all(map(math.isfinite, numbers)))
+            assert all(map(math.isfinite, numbers)), verdicts
+            json.loads(cli._json_text(rho.dims, verdicts, npt, min_pt), parse_constant=refuse)
 
         check()
 
@@ -680,15 +718,17 @@ class TestParameterBoundary:
             run_cli("werner")
 
 
-def run_python(*args, env=None):
+def run_python(*args, env=None, stdout=subprocess.PIPE):
     """A fresh interpreter that imports uwit from this checkout, installed or
-    not, in ``env`` (default this process's environment)."""
+    not, in ``env`` (default this process's environment), with its standard
+    error captured and its standard output too, unless ``stdout`` is given."""
     env = os.environ if env is None else env
     src = str(Path(__file__).resolve().parents[1] / "src")
     pythonpath = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env={**env, "PYTHONPATH": pythonpath},
     )
@@ -840,6 +880,72 @@ class TestParser:
                 assert "workers=2)" in result.stdout  # the pooled path
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+# each command that prints to standard output, with "STATE" a state file and
+# "OUT" an output path
+PRINTING_COMMANDS = {
+    "evaluate": ("evaluate", "STATE", "--q", "2", "--q", "200"),
+    "sweep": ("sweep", "--samples", "20", "--seed", "1", "--workers", "1", "--out", "OUT"),
+    "geometry": ("geometry", "--resolution", "5", "--out", "OUT"),
+    "werner": ("werner",),
+    "gen-state": ("gen-state", "bell", "4", "--out", "OUT"),
+}
+
+
+def printing_argv(tmp_path, command) -> list[str]:
+    state = tmp_path / "noisy.json"
+    assert run_cli("gen-state", "noisy-singlet", "0.9", "0.2", "--seed", "5", "--out", state) == 0
+    replace = {"STATE": str(state), "OUT": str(tmp_path / "out")}
+    return [replace.get(a, a) for a in PRINTING_COMMANDS[command]]
+
+
+class FailingStdout:
+    """A standard output whose ``write`` or ``flush`` fails as a full disk does."""
+
+    def __init__(self, failing: str):
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(28, "No space left on device")
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(28, "No space left on device")
+
+
+def assert_one_stdout_error(err: str):
+    assert err.startswith("error: cannot write standard output: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+class TestStdoutFailure:
+    """A failed write to standard output is exit 4 with one error line, as
+    an unwritable --out path is, in process and through the entry point."""
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @pytest.mark.parametrize("command", sorted(PRINTING_COMMANDS))
+    def test_in_process(self, tmp_path, capsys, command, failing):
+        argv = printing_argv(tmp_path, command)
+        capsys.readouterr()
+        with mock.patch.object(sys, "stdout", FailingStdout(failing)):
+            assert run_cli(*argv) == 4
+        assert_one_stdout_error(capsys.readouterr().err)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("command", sorted(PRINTING_COMMANDS))
+    def test_dev_full(self, tmp_path, command, buffered):
+        # unbuffered, the write fails; buffered, the final flush does
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            result = run_python("-m", "uwit", *printing_argv(tmp_path, command), env=env, stdout=full)
+        assert result.returncode == 4
+        assert_one_stdout_error(result.stderr)
 
 
 @pytest.fixture

@@ -261,6 +261,23 @@ class TestMeasurementDistribution:
         with pytest.raises(DimensionMismatchError):
             measurement_distribution(MIXED, Observable.from_matrix(SIGMA_Z))
 
+    def test_one_check_per_call(self, monkeypatch):
+        """One expectation call on the stack of projectors: rho and the
+        projectors are checked once per call, not once per outcome; the
+        values are each projector's own."""
+        from uwit import linalg
+
+        rng = np.random.default_rng(36)
+        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        obs = Observable.from_matrix((x + x.conj().T) / 2)
+        rho = random_density_matrix((2, 2), rng)
+        checks = []
+        check = linalg._check_hermitian
+        monkeypatch.setattr(linalg, "_check_hermitian", lambda a, name: checks.append(name) or check(a, name))
+        probs = measurement_distribution(rho, obs)
+        assert checks == ["rho", "m"]
+        assert probs.tolist() == [expectation(rho.matrix, x) for _, x in obs.spectral]
+
 
 class TestEntropies:
     def test_shannon_examples(self):

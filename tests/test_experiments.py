@@ -200,6 +200,28 @@ class TestDetectionSweep:
             expected = sample_noise_ball(config.d, noise_rng(config.seed, i)).matrix
             assert sigma[i].tobytes() == expected.tobytes()
 
+    def test_redraws_build_no_seed_sequence(self, monkeypatch):
+        # a rejected first candidate is redrawn on the block's reseeded
+        # generator, so a block at d = 0.5 with rejections builds no
+        # SeedSequence, and each matrix is still the scalar sampler's
+        seed, d, n = 5, 0.5, 40
+        expected = [sample_noise_ball(d, noise_rng(seed, i)).matrix for i in range(n)]
+        rejected = []
+        for i in range(n):
+            rng = noise_rng(seed, i)
+            normals = rng.standard_normal((1, 2, 4, 4))
+            rejected += [i] if not states._noise_candidates(d, normals, rng.uniform(size=1))[1][0] else []
+        assert 0 < len(rejected) < n
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep built a SeedSequence")
+
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        sigma = states._draw_noise_block(seed, d, 0, n)
+        monkeypatch.undo()
+        for i in range(n):
+            assert sigma[i].tobytes() == expected[i].tobytes()
+
     @pytest.mark.parametrize("workers", [1, 3])
     def test_block_size_does_not_change_rows(self, monkeypatch, workers):
         grid = [0.25, 0.35, 0.45]

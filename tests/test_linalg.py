@@ -245,18 +245,36 @@ class TestExpectation:
 
     def test_stacks_give_every_pair(self):
         """Stacked inputs give rho's stack axes followed by m's, each value
-        the 2-D call's up to the order of the sum."""
+        the 2-D call's, bit for bit."""
         rng = np.random.default_rng(24)
         rho = np.array([[random_hermitian(rng, 4) for _ in range(3)] for _ in range(2)])
         m = np.array([random_hermitian(rng, 4) for _ in range(5)])
         values = expectation(rho, m)
         assert values.shape == (2, 3, 5)
         for i, j, k in np.ndindex(2, 3, 5):
-            assert values[i, j, k] == pytest.approx(expectation(rho[i, j], m[k]), abs=1e-14)
+            assert values[i, j, k] == expectation(rho[i, j], m[k])
         assert expectation(rho, m[0]).shape == (2, 3)
         assert expectation(rho[0, 0], m).shape == (5,)
         with pytest.raises(DimensionMismatchError):
             expectation(rho, np.eye(3))
+
+    def test_two_matrices_are_a_batch_of_one(self):
+        """Two matrices take the one summation that stacks take: the value
+        is the stacked value of the pair as a batch of one, bit for bit, and
+        a Python float."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
+        @hypothesis.given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(1e-3, 1e6))
+        def check(n, seed, scale):
+            rng = np.random.default_rng(seed)
+            r, m = random_hermitian(rng, n), scale * random_hermitian(rng, n)
+            value = expectation(r, m)
+            assert type(value) is float
+            assert np.float64(value).tobytes() == expectation(r[None], m[None])[0, 0].tobytes()
+
+        check()
 
     def test_hermiticity_bound_is_relative_to_the_norm(self):
         """U D U^dagger is Hermitian only up to a roundoff that grows with
