@@ -389,6 +389,16 @@ class TestGeometry:
         assert err.startswith("error: resolution 1000000 ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("resolution", [3_000_000, 10**19])
+    def test_oversized_resolution_exits_2(self, tmp_path, capsys, resolution):
+        # 2**63 cells or more: numpy refuses the first flag array's size with
+        # a ValueError, before anything is allocated
+        out = tmp_path / "g.csv"
+        assert run_cli("geometry", "--resolution", str(resolution), "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: resolution {resolution} needs too much memory") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestDefaultOut:
     @pytest.mark.parametrize(

@@ -37,6 +37,7 @@ from uwit.states import (
     BellDiagonalCoords,
     NoiseBallConfig,
     _bell_columns,
+    _octahedron_mask,
     _tetrahedron_mask,
     is_npt,
     noise_rng,
@@ -462,8 +463,10 @@ class TestGeometryScan:
         assert_writers_match_record_view(run_geometry_scan(resolution, q_values), tmp_path)
 
     def test_state_cell_detections_match_full_cube_kernel(self):
-        # the scan decides detections on the state cells only; the oracle
-        # decides every cell of the cube and masks afterwards
+        # the scan decides one x-slab at a time and detections on the state
+        # cells only; the oracle decides every cell of the whole cube at once
+        # and masks afterwards, so a flag or a power that depends on the
+        # slab or on the state cells' count fails it
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
@@ -471,21 +474,25 @@ class TestGeometryScan:
             axis = np.linspace(-1.0, 1.0, resolution)
             columns = [c.ravel() for c in _bell_columns(axis[:, None, None], axis[:, None], axis)]
             is_state = _tetrahedron_mask(columns)
+            in_octahedron = _octahedron_mask(columns, is_state)
             for c in columns:
                 np.maximum(c, 0.0, out=c)
-            return {q: is_state & _bell_tsallis_detects(columns, q)[0] for q in (2.0, *q_values)}
+            detected = {q: is_state & _bell_tsallis_detects(columns, q)[0] for q in (2.0, *q_values)}
+            return is_state, in_octahedron, detected
 
         @hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
         @hypothesis.given(
             st.integers(2, 40),
-            st.lists(st.sampled_from((0.3, 0.5, 1.0, 2.0, 4.0, 15.0, 200.0)), max_size=4),
+            st.lists(st.sampled_from((0.3, 0.37, 0.5, 1.0, 2.0, 4.0, 15.0, 200.0, 1000.5)), max_size=4),
         )
         def check(resolution, q_values):
             scan = run_geometry_scan(resolution, q_values)
-            expected = full_cube(resolution, q_values)
-            assert np.array_equal(scan.sphere_detected, expected[2.0])
+            is_state, in_octahedron, detected = full_cube(resolution, q_values)
+            assert np.array_equal(scan.is_state, is_state)
+            assert np.array_equal(scan.in_octahedron, in_octahedron)
+            assert np.array_equal(scan.sphere_detected, detected[2.0])
             for q in q_values:
-                assert np.array_equal(scan.tsallis_detected[q], expected[q]), q
+                assert np.array_equal(scan.tsallis_detected[q], detected[q]), q
 
         check()
 
@@ -518,6 +525,31 @@ class TestGeometryScan:
                 tracemalloc.stop()
             assert peak <= 6 * path.stat().st_size / 41, writer.__name__
 
+    def test_scan_holds_its_flags_and_one_slab(self):
+        # the kept flags of a resolution-101 scan at three q are 5.2 MB, one
+        # byte a cell for the state, the octahedron and each distinct q; the
+        # float work of one x-slab adds about 1 MB, where the whole cube's
+        # float temporaries took 58.7 MB
+        tracemalloc.start()
+        try:
+            run_geometry_scan(101, (2.0, 4.0, 15.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_csv_writer_holds_chunks(self, tmp_path):
+        # the resolution-71 CSV is 47 MB; the writer holds the scan's y, z
+        # pieces and one chunk of text at a time (whole slabs took 2.14 MB)
+        scan = run_geometry_scan(71, (2.0, 4.0, 15.0))
+        tracemalloc.start()
+        try:
+            write_geometry_csv(scan, tmp_path / "geometry.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+
     def test_shannon_scan_stays_in_columns(self):
         # q = 1 takes its terms column by column as the power sums do, so it
         # holds no (N, 4) copy of the populations
@@ -536,6 +568,9 @@ class TestGeometryScan:
             run_geometry_scan(resolution=1, q_values=[2.0])
         with pytest.raises(InvalidParameterError):
             run_geometry_scan(resolution=5, q_values=[-2.0])
+        # 2**66 cells: as np.int64 the cube would wrap to 0 and scan nothing
+        with pytest.raises(InvalidParameterError):
+            run_geometry_scan(resolution=np.int64(2**22), q_values=[2.0])
 
     def test_matches_state_level_route(self):
         # coordinate formulas versus actual density matrices and verdicts
