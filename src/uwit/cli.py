@@ -47,7 +47,7 @@ from .states import (
     save_state,
     werner_state,
 )
-from .criteria import _CRITERIA, CRITERION_CHOICES, _check_q
+from .criteria import _CRITERIA, BELL_Q_MAX, CRITERION_CHOICES, _check_bell_q
 from .experiments import (
     run_detection_sweep,
     run_geometry_scan,
@@ -119,7 +119,7 @@ GEN_STATE_KINDS = tuple(_GEN_STATE)
 
 
 def _tsallis_q(text: str) -> float:
-    return _check_q(float(text))
+    return _check_bell_q(float(text))
 
 
 def _float_list(text: str) -> list[float]:
@@ -144,13 +144,22 @@ def _worker_count(text: str) -> int:
 
 
 # argparse reports a ValueError from a type as "invalid <__name__> value: '...'"
-_tsallis_q.__name__ = "positive finite q"
+_tsallis_q.__name__ = f"q in (0, {BELL_Q_MAX:g}]"
 _float_list.__name__ = "float list"
 _worker_count.__name__ = "worker count (at least 1)"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints help and version text through _print: argparse drops a failed write."""
+
+    def _print_message(self, message, file=None):
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        _print(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uwit",
         description="Uncertainty-relation entanglement detection for two-qubit states.",
     )

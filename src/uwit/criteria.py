@@ -23,7 +23,7 @@ from .errors import (
     InvalidParameterError,
 )
 from .linalg import _traces, expectation, hermitian_eigen
-from .states import _PAULI_BASIS, NPT_THRESHOLD, DensityMatrix, _witness_values
+from .states import _PAULI_BASIS, NPT_THRESHOLD, DensityMatrix, _bell_columns, _witness_values
 
 DEGENERACY_TOL = 1e-8
 PROBABILITY_TOL = -1e-12
@@ -41,6 +41,10 @@ WITNESS_TOL = 16 * abs(NPT_THRESHOLD)
 # Every Bell state has both squared Schmidt coefficients equal to 1/2; this
 # is the constant feeding the Bell-population entropy bounds.
 BELL_SCHMIDT_SQ = 0.5
+
+# Above q of about 1023 the Bell-entropy sums of p^q are subnormal or zero
+# and decide nothing, so the Bell-entropy tests refuse q above this.
+BELL_Q_MAX = 1000.0
 
 
 @dataclass(frozen=True)
@@ -131,14 +135,14 @@ def collective_paulis() -> tuple[Observable, Observable, Observable]:
 
 def linear_witness_value(rho: DensityMatrix) -> float:
     """Expectation of I + XX + YY + ZZ; negative values certify entanglement."""
-    return rho._witnesses[1]
+    return _witness_values(*rho._pauli_values)[0]
 
 
 def nonlinear_witness_value(rho: DensityMatrix) -> CriterionVerdict:
     """Nonlinear refinement of the linear witness: the squared means of the
     collective Paulis are subtracted, so the value never exceeds the linear
     one. Equals (summed collective-Pauli variances - 4)/2."""
-    value = rho._witnesses[2]
+    value = _witness_values(*rho._pauli_values)[1]
     return CriterionVerdict(value, 0.0, _witness_detects(value), "nonlinear_witness")
 
 
@@ -147,8 +151,8 @@ def pauli_lur(rho: DensityMatrix) -> CriterionVerdict:
     summed variances of sigma_i x I + I x sigma_i at or above 4. As
     (sigma_i x I + I x sigma_i)^2 = 2 (I + sigma_i x sigma_i), the sum is
     4 Tr(rho) + 2N for the nonlinear witness value N, and N's rule decides it."""
-    t, _, nonlinear = rho._witnesses
-    value = 4.0 * t + 2.0 * nonlinear
+    nonlinear = _witness_values(*rho._pauli_values)[1]
+    value = 4.0 * rho._pauli_values[0] + 2.0 * nonlinear
     return CriterionVerdict(value, 4.0, _witness_detects(nonlinear), "pauli_lur")
 
 
@@ -170,6 +174,13 @@ def _check_q(q: float) -> float:
     """The Tsallis index ``q``, which must be positive and finite."""
     if not 0.0 < q < math.inf:
         raise InvalidParameterError(f"q must be positive and finite, got {q}")
+    return q
+
+
+def _check_bell_q(q: float) -> float:
+    """The Tsallis index ``q`` of a Bell-entropy test, in (0, BELL_Q_MAX]."""
+    if not 0.0 < q <= BELL_Q_MAX:
+        raise InvalidParameterError(f"q must lie in (0, {BELL_Q_MAX:g}], got {q}")
     return q
 
 
@@ -260,7 +271,7 @@ def bell_populations(rho: DensityMatrix) -> np.ndarray:
     """The four Bell-state populations <BS_i|rho|BS_i> of a two-qubit state,
     from its trace and correlators, as a fresh array. ``rho`` is a validated
     state, so negative roundoff is clipped to 0 rather than re-checked."""
-    return rho._bell_populations.copy()
+    return np.maximum(_bell_columns(*rho._pauli_values[4:], rho._pauli_values[0]), 0.0)
 
 
 def _bell_tsallis_detects(columns, q: float):
@@ -286,7 +297,7 @@ def _bell_tsallis_detects(columns, q: float):
 
 def _bell_tsallis_verdict(rho: DensityMatrix, q: float, criterion_id: str) -> CriterionVerdict:
     threshold = schmidt_entropy_bound(BELL_SCHMIDT_SQ, q)  # checks q
-    detected, total = _bell_tsallis_detects(rho._bell_populations[:, None], q)
+    detected, total = _bell_tsallis_detects(bell_populations(rho)[:, None], q)
     value = -total[0] if q == 1.0 else (1.0 - total[0]) / (q - 1.0)
     return CriterionVerdict(float(value), threshold, bool(detected[0]), criterion_id)
 
@@ -302,8 +313,8 @@ def bell_variance_criterion(rho: DensityMatrix) -> CriterionVerdict:
 def bell_tsallis_criterion(rho: DensityMatrix, q: float) -> CriterionVerdict:
     """Tsallis entropy of the Bell-population distribution against the
     Schmidt bound for c = 1/2; strengthens with growing q and reproduces the
-    Bell-variance test at q = 2."""
-    return _bell_tsallis_verdict(rho, q, f"bell_tsallis_q{q:g}")
+    Bell-variance test at q = 2. A q above BELL_Q_MAX is refused."""
+    return _bell_tsallis_verdict(rho, _check_bell_q(q), f"bell_tsallis_q{q:g}")
 
 
 def _linear_witness_verdicts(rho: DensityMatrix, q_values) -> list[CriterionVerdict]:

@@ -32,7 +32,7 @@ from .states import (
 from .criteria import (
     WITNESS_TOL,
     _bell_tsallis_detects,
-    _check_q,
+    _check_bell_q,
     _witness_detects,
     _witness_values,
 )
@@ -107,7 +107,7 @@ def _block_flags(sigma: np.ndarray, p: float):
     mixture is exactly Hermitian, so the trace kernel takes them unchecked.
     """
     rho = p * _SINGLET[None, :, :] + (1.0 - p) * sigma
-    linear, nonlinear = _witness_values(_traces(rho, _PAULI_BASIS))
+    linear, nonlinear = _witness_values(*_traces(rho, _PAULI_BASIS).T)
     npt = _min_pt_eigenvalues(rho, (2, 2)) < NPT_THRESHOLD
     return _witness_detects(linear), _witness_detects(nonlinear), npt
 
@@ -131,7 +131,7 @@ def _sweep_flags(sigma: np.ndarray, p_grid) -> tuple[np.ndarray, np.ndarray, np.
     """
     p = np.asarray(p_grid, dtype=float)
     q = 1.0 - p
-    linear_sigma, nonlinear_sigma = _witness_values(_traces(sigma, _PAULI_BASIS))
+    linear_sigma, nonlinear_sigma = _witness_values(*_traces(sigma, _PAULI_BASIS).T)
     half_means_sq = linear_sigma - nonlinear_sigma
     linear = -2.0 * p + q * linear_sigma[:, None]
     nonlinear = linear - q**2 * half_means_sq[:, None]
@@ -283,7 +283,7 @@ def run_geometry_scan(resolution: int = 101, q_values=(2.0, 4.0, 15.0)) -> Geome
     resolution = operator.index(resolution)  # a Python int: a numpy int's cube would wrap
     if resolution < 2:
         raise InvalidParameterError(f"resolution must be at least 2, got {resolution}")
-    q_values = tuple(_check_q(float(q)) for q in q_values)
+    q_values = tuple(_check_bell_q(float(q)) for q in q_values)
 
     cube, slab = resolution**3, resolution**2
     try:  # the flags before the axis, so a cube beyond numpy's largest array allocates nothing

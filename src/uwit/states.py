@@ -82,31 +82,13 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     @cached_property
-    def _pauli_values(self) -> np.ndarray:
-        """Tr(rho P) for the seven P of _PAULI_BASIS, from one expectation
-        call made at most once per state; read-only. Every two-qubit
+    def _pauli_values(self) -> tuple[float, ...]:
+        """Tr(rho P) for the seven P of _PAULI_BASIS, as floats, from one
+        expectation call made at most once per state. Every two-qubit
         criterion reads its values from these."""
         if self.dims != (2, 2):
             raise DimensionMismatchError(f"the Pauli values require a 2x2-qubit state, got dims {self.dims}")
-        values = expectation(self.matrix, _PAULI_BASIS)
-        values.setflags(write=False)
-        return values
-
-    @cached_property
-    def _witnesses(self) -> tuple[float, float, float]:
-        """(Tr rho, linear, nonlinear witness value) from one _witness_values
-        call on the Pauli values as a batch of one, made at most once."""
-        linear, nonlinear = _witness_values(self._pauli_values[None])
-        return float(self._pauli_values[0]), float(linear[0]), float(nonlinear[0])
-
-    @cached_property
-    def _bell_populations(self) -> np.ndarray:
-        """The four Bell populations from one _bell_columns call on the
-        correlators and the trace, with negative roundoff clipped to 0 (rho
-        is valid); read-only."""
-        populations = np.maximum(_bell_columns(*self._pauli_values[[4, 5, 6, 0]]), 0.0)
-        populations.setflags(write=False)
-        return populations
+        return tuple(expectation(self.matrix, _PAULI_BASIS).tolist())
 
 
 def _check_dims(dims) -> tuple[int, int]:
@@ -412,14 +394,13 @@ def is_npt(rho: DensityMatrix) -> tuple[bool, float]:
     return min_eig < NPT_THRESHOLD, min_eig
 
 
-def _witness_values(values):
-    """The linear and the nonlinear witness values from Pauli values: the
-    last axis holds Tr(rho P) for the seven P of _PAULI_BASIS. The linear
-    value is Tr(rho (I + XX + YY + ZZ)); the nonlinear one subtracts half
-    the summed squared collective-Pauli means."""
-    t, mx, my, mz, x, y, z = (values[..., k] for k in range(7))
+def _witness_values(t, mx, my, mz, x, y, z):
+    """The linear and the nonlinear witness values from the seven Pauli value
+    columns Tr(rho P) in _PAULI_BASIS order (floats, or arrays of one shape):
+    Tr(rho (I + XX + YY + ZZ)), and that less half the summed squared
+    collective-Pauli means, squared as products as numpy's power squares."""
     linear = t + x + y + z
-    return linear, linear - 0.5 * (mx**2 + my**2 + mz**2)
+    return linear, linear - 0.5 * (mx * mx + my * my + mz * mz)
 
 
 def _bell_columns(x, y, z, t=1.0):
@@ -477,7 +458,7 @@ def bell_diagonal_state(c) -> DensityMatrix:
 
 def coords_of(rho: DensityMatrix) -> BellDiagonalCoords:
     """Correlation coordinates (Tr(rho sigma_i x sigma_i))_{i=x,y,z} of a two-qubit state."""
-    return BellDiagonalCoords(*map(float, rho._pauli_values[4:]))
+    return BellDiagonalCoords(*rho._pauli_values[4:])
 
 
 def in_state_tetrahedron(c) -> bool:

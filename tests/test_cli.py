@@ -123,14 +123,27 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("q_args", [(), ("--q", "2"), ("--q", "0.5", "--q", "1", "--q", "2", "--q", "200")])
     def test_derived_values_are_computed_once(self, tmp_path, monkeypatch, capsys, q_args):
-        """One evaluate makes one expectation call (the Pauli values), one
-        witness-kernel call and one Bell-column call, whatever the q list."""
+        """One evaluate makes one expectation call, the state's seven Pauli
+        values, whatever the q list; every criterion reads them, so a second
+        round of criterion calls on the same state makes no further call."""
         state = tmp_path / "ginibre.json"
         save_state(random_density_matrix((2, 2), np.random.default_rng(32)), state)
-        calls = count_calls(monkeypatch, states, ("expectation", "_witness_values", "_bell_columns"))
+        loaded = []
+
+        def load(path):
+            loaded.append(states.load_state(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_state", load)
+        calls = count_calls(monkeypatch, states, ("expectation",))
         assert run_cli("evaluate", state, *q_args) == 0
-        assert len(json.loads(capsys.readouterr().out)["criteria"]) == 4 + max(1, len(q_args) // 2)
-        assert calls == {"expectation": 1, "_witness_values": 1, "_bell_columns": 1}
+        reported = json.loads(capsys.readouterr().out)["criteria"]
+        assert len(reported) == 4 + max(1, len(q_args) // 2)
+        assert calls == {"expectation": 1}
+        q_values = [float(q) for q in q_args[1::2]] or [2.0]
+        again = [v for name in CRITERION_CHOICES for v in criteria._CRITERIA[name](loaded[0], q_values)]
+        assert [v.value for v in again] == [c["value"] for c in reported]
+        assert calls == {"expectation": 1}
 
     def test_malformed_file_exits_2(self, tmp_path):
         state = tmp_path / "broken.json"
@@ -468,7 +481,8 @@ class TestJsonReport:
         """Every value, threshold and least partial-transpose eigenvalue that
         evaluate reports is finite, over Ginibre, random separable and noisy
         singlet states, |00> and |01>, at q across the accepted range: the
-        template needs no fallback for a NaN or an infinity."""
+        template needs no fallback for a NaN or an infinity. A drawn q above
+        BELL_Q_MAX is refused, not decided."""
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         seeds = st.integers(0, 2**32 - 1)
@@ -484,7 +498,7 @@ class TestJsonReport:
             ),
             st.sampled_from(product),
         )
-        edges = [1e-300, 1e300, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 200.0]
+        edges = [1e-300, 1e300, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 200.0, 1000.0, 1000.5]
         q = st.sampled_from(edges) | st.floats(min_value=1e-300, max_value=1e300)
 
         def refuse(constant):
@@ -495,7 +509,11 @@ class TestJsonReport:
         @hypothesis.example(product[0], edges)
         @hypothesis.example(product[1], edges)
         def check(rho, q_values):
-            verdicts = [v for name in CRITERION_CHOICES for v in criteria._CRITERIA[name](rho, q_values)]
+            accepted = [q for q in q_values if q <= criteria.BELL_Q_MAX]
+            for q in set(q_values) - set(accepted):
+                with pytest.raises(InvalidParameterError):
+                    criteria.bell_tsallis_criterion(rho, q)
+            verdicts = [v for name in CRITERION_CHOICES for v in criteria._CRITERIA[name](rho, accepted)]
             npt, min_pt = is_npt(rho)
             numbers = [min_pt, *(x for v in verdicts for x in (v.value, v.threshold))]
             assert all(map(math.isfinite, numbers)), verdicts
@@ -675,6 +693,12 @@ class TestParameterBoundary:
             ("evaluate", "STATE", "--q", "inf"),
             ("geometry", "--resolution", "3", "--q", "nan"),
             ("geometry", "--resolution", "3", "--q", "inf"),
+            ("evaluate", "STATE", "--q", "1000.5"),
+            ("evaluate", "STATE", "--q", "2", "--q", "2000"),
+            ("evaluate", "STATE", "--q", "1e300"),
+            ("geometry", "--resolution", "3", "--q", "1000.5"),
+            ("geometry", "--resolution", "3", "--q", "2000"),
+            ("geometry", "--resolution", "3", "--q", "1e300"),
             ("sweep", "--samples", "5", "--p-grid", "abc"),
             ("sweep", "--samples", "5", "--p-grid", "nan"),
             ("sweep", "--samples", "5", "--p-grid", "0.5,inf"),
@@ -690,6 +714,25 @@ class TestParameterBoundary:
         assert run_cli(*with_state(argv, state), "--out", out) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv", [("evaluate", "STATE", "--q", "1000"), ("geometry", "--resolution", "3", "--q", "1000")]
+    )
+    def test_q_at_the_bell_bound_exits_0(self, tmp_path, capsys, argv):
+        state = tmp_path / "singlet.json"
+        assert run_cli("gen-state", "bell", "4", "--out", state) == 0
+        out = tmp_path / "out"
+        assert run_cli(*with_state(argv, state), "--out", out) == 0
+        assert "1000" in out.read_text()
+
+    @pytest.mark.parametrize("command", [("evaluate", "STATE"), ("geometry", "--resolution", "3")])
+    def test_q_above_the_bell_bound_is_a_usage_error(self, tmp_path, capsys, command):
+        state = tmp_path / "singlet.json"
+        assert run_cli("gen-state", "bell", "4", "--out", state) == 0
+        capsys.readouterr()
+        assert run_cli(*with_state(command, state), "--q", "2000") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: uwit ") and "--q: invalid q in (0, 1000] value: '2000'" in err
 
     @pytest.mark.parametrize(
         "error, code",
@@ -900,6 +943,9 @@ PRINTING_COMMANDS = {
     "geometry": ("geometry", "--resolution", "5", "--out", "OUT"),
     "werner": ("werner",),
     "gen-state": ("gen-state", "bell", "4", "--out", "OUT"),
+    # argparse prints these itself, and drops a failed write
+    "help": ("evaluate", "--help"),
+    "version": ("--version",),
 }
 
 

@@ -312,6 +312,15 @@ class TestEntropies:
         with pytest.raises(InvalidParameterError):
             bell_tsallis_criterion(SINGLET, q)
 
+    @pytest.mark.parametrize("q", [1000.5, 2000.0, 1e300])
+    def test_q_above_the_bell_bound(self, q):
+        # the entropies and the Schmidt bound take any positive finite q;
+        # only the Bell-entropy test, whose sums are subnormal there, refuses
+        assert tsallis_entropy([0.5, 0.5], q) == pytest.approx(1.0 / (q - 1.0))
+        assert schmidt_entropy_bound(0.5, q) == pytest.approx(1.0 / (q - 1.0))
+        with pytest.raises(InvalidParameterError, match="1000"):
+            bell_tsallis_criterion(SINGLET, q)
+
     def test_axioms(self):
         rng = np.random.default_rng(37)
         for n in (2, 3, 5):
@@ -438,6 +447,16 @@ class TestBellCriteria:
         verdict = bell_tsallis_criterion(MIXED, 2.0)
         assert verdict.value == pytest.approx(0.75, abs=1e-12) and not verdict.detected
 
+    def test_q_at_the_bound_decides(self):
+        # (1 - eps)|00><00| + eps |phi+><phi+| at eps = 0.3 is detected up to
+        # q = 1000; at q = 2000, where the sums were subnormal, it was not
+        phi_plus = bell_state(1).density().matrix
+        rho = DensityMatrix(0.7 * ZERO_ZERO.matrix + 0.3 * phi_plus, (2, 2))
+        assert bell_tsallis_criterion(rho, 200.0).detected
+        verdict = bell_tsallis_criterion(rho, 1000.0)
+        assert verdict.detected and verdict.criterion_id == "bell_tsallis_q1000"
+        assert not bell_tsallis_criterion(ZERO_ZERO, 1000.0).detected
+
     def test_q2_matches_variance_criterion(self):
         rng = np.random.default_rng(40)
         for _ in range(200):
@@ -488,18 +507,18 @@ class TestBellCriteria:
         probs = measurement_distribution(rho, bell_basis)
         assert probs.min() == 0.0 and probs.max() == pytest.approx(1.0, abs=1e-9)
 
-    def test_cached_populations_are_read_only_and_copied_out(self):
-        # the criteria read one read-only cache per state; bell_populations
-        # hands out a fresh writable copy, so writing to it moves no verdict
+    def test_populations_are_fresh_on_each_call(self):
+        # the populations are derived from the state's Pauli values on each
+        # call, as a fresh writable array, so writing to one moves no verdict
         rho = random_density_matrix((2, 2), np.random.default_rng(8))
         before = [bell_variance_criterion(rho), bell_tsallis_criterion(rho, 3.0)]
-        assert not rho._bell_populations.flags.writeable
+        first = bell_populations(rho)
         populations = bell_populations(rho)
         assert populations.shape == (4,) and populations.flags.writeable
-        assert not np.shares_memory(populations, rho._bell_populations)
+        assert populations is not first and not np.shares_memory(populations, first)
         populations[:] = [1.0, 0.0, 0.0, 0.0]
         assert [bell_variance_criterion(rho), bell_tsallis_criterion(rho, 3.0)] == before
-        assert bell_populations(rho).tolist() == rho._bell_populations.tolist() != populations.tolist()
+        assert bell_populations(rho).tolist() == first.tolist() != populations.tolist()
 
 
 class TestConcavity:

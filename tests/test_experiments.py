@@ -483,7 +483,7 @@ class TestGeometryScan:
         @hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
         @hypothesis.given(
             st.integers(2, 40),
-            st.lists(st.sampled_from((0.3, 0.37, 0.5, 1.0, 2.0, 4.0, 15.0, 200.0, 1000.5)), max_size=4),
+            st.lists(st.sampled_from((0.3, 0.37, 0.5, 1.0, 2.0, 4.0, 15.0, 200.0, 999.5, 1000.0)), max_size=4),
         )
         def check(resolution, q_values):
             scan = run_geometry_scan(resolution, q_values)
@@ -568,6 +568,11 @@ class TestGeometryScan:
             run_geometry_scan(resolution=1, q_values=[2.0])
         with pytest.raises(InvalidParameterError):
             run_geometry_scan(resolution=5, q_values=[-2.0])
+        # the Bell-entropy bound: q = 1000 is scanned, anything above refused
+        assert run_geometry_scan(resolution=3, q_values=[1000.0]).q_values == (1000.0,)
+        for q in (1000.5, 2000.0, 1e300):
+            with pytest.raises(InvalidParameterError, match="1000"):
+                run_geometry_scan(resolution=3, q_values=[2.0, q])
         # 2**66 cells: as np.int64 the cube would wrap to 0 and scan nothing
         with pytest.raises(InvalidParameterError):
             run_geometry_scan(resolution=np.int64(2**22), q_values=[2.0])

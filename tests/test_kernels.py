@@ -103,7 +103,7 @@ stacks = st.builds(
 @BOUNDED
 @given(stacks)
 def test_scalar_witnesses_equal_batch_kernels(states):
-    linear, nonlinear = _witness_values(expectation(np.array([s.matrix for s in states]), _PAULI_BASIS))
+    linear, nonlinear = _witness_values(*expectation(np.array([s.matrix for s in states]), _PAULI_BASIS).T)
     assert [linear_witness_value(s) for s in states] == linear.tolist()
     assert [nonlinear_witness_value(s).value for s in states] == nonlinear.tolist()
 
@@ -114,7 +114,7 @@ def test_scalar_criteria_are_batch_kernels_on_a_batch_of_one(family):
     on the state as a batch of one, bit for bit."""
     for rho in _stack(family, 24, 500):
         values = expectation(rho.matrix[None], _PAULI_BASIS)
-        linear, nonlinear = _witness_values(values)
+        linear, nonlinear = _witness_values(*values.T)
         assert linear_witness_value(rho) == linear[0]
         assert nonlinear_witness_value(rho).value == nonlinear[0]
         assert pauli_lur(rho).detected == _witness_detects(nonlinear[0])
@@ -323,7 +323,7 @@ def threshold_weights(sigma) -> list[float]:
     """Each sample's exact singlet weights where the linear and the
     nonlinear witness values meet their threshold, and where the
     partial-transpose test turns NPT, those in [0, 1]."""
-    linear, nonlinear = _witness_values(expectation(sigma, _PAULI_BASIS))
+    linear, nonlinear = _witness_values(*expectation(sigma, _PAULI_BASIS).T)
     half_means_sq = linear - nonlinear
     roots = [(linear + WITNESS_TOL) / (linear + 2.0), [npt_weight(s) for s in sigma]]
     # nonlinear: -half_means_sq q^2 + (linear + 2) q + WITNESS_TOL - 2 = 0, q = 1 - p

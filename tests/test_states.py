@@ -110,7 +110,7 @@ class TestDensityMatrix:
         monkeypatch.setattr(states, "expectation", lambda *args: calls.append(args) or np.zeros(7))
         first = rho._pauli_values
         assert rho._pauli_values is first and len(calls) == 1
-        assert not first.flags.writeable
+        assert type(first) is tuple and len(first) == 7 and all(type(v) is float for v in first)
         with pytest.raises(DimensionMismatchError):
             DensityMatrix(np.eye(6, dtype=complex) / 6, (2, 3))._pauli_values
 

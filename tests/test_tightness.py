@@ -14,7 +14,12 @@ grows with eps. The verdict for q > 1 needs f - 1 > DETECTION_TOL, which
 holds for eps > sqrt(2 DETECTION_TOL / (q(q - 1))); at q = 1 the entropy
 falls below ln 2 by eps^2/2 + ..., which passes DETECTION_TOL for
 eps > sqrt(2 DETECTION_TOL). Weights are drawn from 1.1 times the floor,
-which leaves 0.21 DETECTION_TOL for roundoff."""
+which leaves 0.21 DETECTION_TOL for roundoff.
+
+The witnesses and pauli_lur are constant on a local-unitary orbit
+(U x U) rho (U x U)^dagger: I + XX + YY + ZZ is twice the swap, which U x U
+commutes with, and U x U only rotates the vector of collective-Pauli means.
+So no product state |a>|b> is detected anywhere on its orbit."""
 
 import math
 
@@ -24,8 +29,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
-from uwit.criteria import _CRITERIA, DETECTION_TOL, WITNESS_TOL
-from uwit.states import DensityMatrix, PureState, bell_state
+from uwit.criteria import _CRITERIA, BELL_Q_MAX, DETECTION_TOL, WITNESS_TOL
+from uwit.errors import InvalidParameterError
+from uwit.states import DensityMatrix, PureState, bell_state, random_product_state
 
 BOUNDED = settings(derandomize=True, max_examples=100, deadline=None)
 KET_00, KET_01 = (PureState(np.eye(4)[k], (2, 2)).density() for k in (0, 1))
@@ -68,8 +74,9 @@ def test_01_with_the_singlet_crosses_at_the_witness_floor(u):
     assert not any(v.detected for v in verdicts(mixture(KET_01, SINGLET, below), WITNESS_GUARDS))
 
 
-# q across the accepted range; 1073.32 once detected |00> (its two sides of
-# the comparison were rounded apart as subnormals)
+# q up to 1e300: above BELL_Q_MAX the Bell-entropy test is refused. 1073.32,
+# refused now, once detected |00> (its two sides of the comparison were
+# rounded apart as subnormals)
 @BOUNDED
 @given(st.floats(min_value=1e-300, max_value=1e300))
 @example(0.5)
@@ -80,8 +87,14 @@ def test_01_with_the_singlet_crosses_at_the_witness_floor(u):
 @example(1e300)
 @example(ULP_BELOW_1)
 @example(ULP_ABOVE_1)
+@example(1000.0)
+@example(1000.5)
 @example(1073.32)
 def test_00_attains_every_bell_threshold(q):
+    if q > BELL_Q_MAX:
+        with pytest.raises(InvalidParameterError):
+            verdicts(KET_00, ["bell_tsallis"], q)
+        return
     for v in verdicts(KET_00, BELL_IDS, q):
         assert v.value == pytest.approx(v.threshold, rel=DETECTION_TOL, abs=DETECTION_TOL), v
         assert not v.detected, v
@@ -104,3 +117,24 @@ def test_00_with_phi_plus_crosses_above_the_bell_floor(q, u):
     eps = low + u * (1.0 - low)
     ids = BELL_IDS if q == 2.0 else ("bell_tsallis",)  # bell_variance is q = 2
     assert all(v.detected for v in verdicts(mixture(KET_00, PHI_PLUS, eps), ids, q))
+
+
+def haar_unitary(rng) -> np.ndarray:
+    """A Haar-random 2x2 unitary: the Q of a complex Ginibre matrix's QR
+    factorization, with its columns' phases fixed by R's diagonal."""
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@BOUNDED
+@given(st.integers(0, 2**32 - 1))
+def test_product_states_stay_undetected_on_their_local_unitary_orbit(seed):
+    rng = np.random.default_rng(seed)
+    rho = random_product_state((2, 2), rng).density()
+    u = haar_unitary(rng)
+    uu = np.kron(u, u)
+    rotated = DensityMatrix(uu @ rho.matrix @ uu.conj().T, (2, 2))
+    for before, after in zip(verdicts(rho, WITNESS_GUARDS), verdicts(rotated, WITNESS_GUARDS), strict=True):
+        assert abs(after.value - before.value) <= 1e-12, (before, after)
+        for v in (before, after):
+            assert v.value - v.threshold >= -WITNESS_TOL and not v.detected, v
