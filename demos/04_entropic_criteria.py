@@ -32,8 +32,8 @@ from uwit import (
     werner_state,
 )
 
-XX = Observable.from_matrix(kron(SIGMA_X, SIGMA_X))
-ZZ = Observable.from_matrix(kron(SIGMA_Z, SIGMA_Z))
+XX = Observable(kron(SIGMA_X, SIGMA_X))
+ZZ = Observable(kron(SIGMA_Z, SIGMA_Z))
 SINGLET = bell_state(4).density()
 
 # Step 1 -- measurement distributions ----------------------------------------
@@ -45,7 +45,7 @@ for label, rho in [("singlet", SINGLET), ("maximally mixed", maximally_mixed())]
 
 # Step 2 -- the two-observable entropic test ---------------------------------
 # The bound ln 2 is the Maassen-Uffink constant of the local pair (X, Z).
-c = maassen_bound(Observable.from_matrix(SIGMA_X), Observable.from_matrix(SIGMA_Z))
+c = maassen_bound(Observable(SIGMA_X), Observable(SIGMA_Z))
 print(f"\nlocal entropic bound C = {c:.6f} (ln 2 = {np.log(2):.6f})")
 for label, rho in [("singlet", SINGLET), ("werner p=0.8", werner_state(0.8)),
                    ("werner p=0.2", werner_state(0.2))]:

@@ -12,7 +12,7 @@ entanglement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
 )
-from .linalg import _traces, expectation, hermitian_eigen
+from .linalg import _traces, hermitian_eigen
 from .states import _PAULI_BASIS, NPT_THRESHOLD, DensityMatrix, _bell_columns, _witness_values
 
 DEGENERACY_TOL = 1e-8
@@ -49,7 +49,9 @@ BELL_Q_MAX = 1000.0
 
 @dataclass(frozen=True)
 class Observable:
-    """Hermitian observable with its spectral decomposition.
+    """Hermitian observable with its spectral decomposition, built from its
+    matrix alone: the matrix is copied, checked once by hermitian_eigen and
+    kept read-only, as are the projectors.
 
     ``spectral`` pairs each distinct eigenvalue (ascending) with the
     projector onto its eigenspace; eigenvalues closer than DEGENERACY_TOL
@@ -57,11 +59,10 @@ class Observable:
     """
 
     matrix: np.ndarray
-    spectral: tuple[tuple[float, np.ndarray], ...]
+    spectral: tuple[tuple[float, np.ndarray], ...] = field(init=False)
 
-    @classmethod
-    def from_matrix(cls, m) -> "Observable":
-        mat = np.asarray(m, dtype=complex)
+    def __post_init__(self):
+        mat = np.array(self.matrix, dtype=complex)
         if mat.ndim != 2:  # hermitian_eigen also takes stacks
             raise DimensionMismatchError(f"an observable is one square matrix, got shape {mat.shape}")
         eig = hermitian_eigen(mat)
@@ -75,8 +76,11 @@ class Observable:
         for group in groups:
             vecs = eig.eigenvectors[:, group]
             projector = vecs @ vecs.conj().T
+            projector.setflags(write=False)
             spectral.append((float(np.mean(eig.eigenvalues[group])), projector))
-        return cls(mat, tuple(spectral))
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "spectral", tuple(spectral))
 
     @property
     def dim(self) -> int:
@@ -109,20 +113,32 @@ def _witness_detects(value):
     return value < -WITNESS_TOL
 
 
+def _check_bound(value, name: str) -> float:
+    """A caller-given criterion bound as a finite float."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"{name} must be finite, got {value}")
+    return value
+
+
 def variance(rho: DensityMatrix, m) -> float:
     """Variance <M^2> - <M>^2 of an observable in a state (clamped at 0).
-    <M^2> is read from the pair that expectation checked, by the same trace
-    kernel and no second check: M^2 is Hermitian only up to roundoff."""
-    mat = m.matrix if isinstance(m, Observable) else np.asarray(m, dtype=complex)
-    mean = expectation(rho.matrix, mat)
-    second = _traces(rho.matrix, mat @ mat)
+    ``rho`` and an Observable were checked when built, so both traces are
+    read unchecked; a raw matrix is checked once, by building its
+    Observable. M^2 is Hermitian only up to roundoff, and is not checked."""
+    obs = m if isinstance(m, Observable) else Observable(m)
+    if obs.dim != rho.dim:
+        raise DimensionMismatchError(f"dimension mismatch: state {rho.dim}, observable {obs.dim}")
+    mean = _traces(rho.matrix, obs.matrix)
+    second = _traces(rho.matrix, obs.matrix @ obs.matrix)
     return max(second - mean * mean, 0.0)
 
 
 def lur_value(rho: DensityMatrix, observables, bound: float) -> CriterionVerdict:
     """Summed variances against a local-uncertainty bound that every
-    separable state inherits; a value strictly below ``bound`` detects
-    entanglement."""
+    separable state inherits; a value strictly below ``bound``, which must
+    be finite, detects entanglement."""
+    bound = _check_bound(bound, "bound")
     total = sum(variance(rho, m) for m in observables)
     return CriterionVerdict(total, bound, _detects(total, bound), "lur")
 
@@ -130,7 +146,7 @@ def lur_value(rho: DensityMatrix, observables, bound: float) -> CriterionVerdict
 @lru_cache(maxsize=1)
 def collective_paulis() -> tuple[Observable, Observable, Observable]:
     """The three collective observables sigma_i x I + I x sigma_i."""
-    return tuple(Observable.from_matrix(m) for m in _PAULI_BASIS[1:4])
+    return tuple(Observable(m) for m in _PAULI_BASIS[1:4])
 
 
 def linear_witness_value(rho: DensityMatrix) -> float:
@@ -186,12 +202,12 @@ def _check_bell_q(q: float) -> float:
 
 def measurement_distribution(rho: DensityMatrix, m: Observable) -> np.ndarray:
     """Outcome probabilities Tr(rho X_i), one per distinct eigenvalue of the
-    observable, ordered by ascending eigenvalue. ``rho`` is a validated
-    state, so negative roundoff is clipped to 0 rather than re-checked. One
-    expectation call takes the stack of projectors."""
+    observable, ordered by ascending eigenvalue. ``rho`` and ``m`` were
+    checked when built, so the traces of the stack of projectors are read
+    unchecked, and negative roundoff is clipped to 0."""
     if m.dim != rho.dim:
         raise DimensionMismatchError(f"dimension mismatch: state {rho.dim}, observable {m.dim}")
-    return np.clip(expectation(rho.matrix, np.array([x for _, x in m.spectral])), 0.0, None)
+    return np.clip(_traces(rho.matrix, np.array([x for _, x in m.spectral])), 0.0, None)
 
 
 def _shannon_terms(probs):
@@ -238,10 +254,11 @@ def entropic_sum_criterion(rho: DensityMatrix, m1: Observable, m2: Observable, c
     The observables must be products of full-rank local observables whose
     single-party measurements obey an entropic uncertainty relation with
     constant ``c``; the caller vouches for ``c`` (maassen_bound is one
-    generator). Only full-rankness is checked here: an eigenvalue at zero
-    would make the outcome grouping, and hence the entropy, ambiguous
-    between the factors and the product.
+    generator), which must be finite. Only full-rankness is checked here:
+    an eigenvalue at zero would make the outcome grouping, and hence the
+    entropy, ambiguous between the factors and the product.
     """
+    c = _check_bound(c, "c")
     for name, obs in (("m1", m1), ("m2", m2)):
         if min(abs(val) for val, _ in obs.spectral) <= DEGENERACY_TOL:
             raise InvalidParameterError(f"observable {name} has an eigenvalue at zero")

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -164,6 +165,15 @@ def _check_weight(p: float) -> float:
     return p
 
 
+def _check_int(value, name: str) -> int:
+    """``value`` as a Python int, through operator.index: a float, string or
+    other non-integer is refused, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class NoiseBallConfig:
     """Parameters of the noisy-singlet ensemble: noise-ball radius ``d``
@@ -175,6 +185,8 @@ class NoiseBallConfig:
 
     def __post_init__(self):
         _check_radius(self.d)
+        object.__setattr__(self, "seed", _check_int(self.seed, "seed"))
+        object.__setattr__(self, "samples", _check_int(self.samples, "samples"))
         if self.samples < 1:
             raise InvalidParameterError(f"samples must be positive, got {self.samples}")
 
@@ -289,8 +301,10 @@ def sample_noise_ball(d: float, rng: np.random.Generator) -> DensityMatrix:
 
 
 def noise_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Deterministic generator for stream ``(seed, *stream)``; independent streams
-    for distinct tuples, identical across worker layouts."""
+    """Deterministic generator for stream ``(seed, *stream)``, identical across
+    worker layouts. Each key is reduced mod 2^64 first, so streams are
+    independent for tuples that differ mod 2^64, and a seed of 2^64 + 1
+    gives seed 1's stream."""
     key = [seed & _SEED_MASK] + [int(s) & _SEED_MASK for s in stream]
     return np.random.default_rng(np.random.SeedSequence(key))
 
@@ -491,6 +505,7 @@ def random_product_state(dims: tuple[int, int], rng: np.random.Generator) -> Pur
 
 def random_separable_state(k: int, rng: np.random.Generator, dims: tuple[int, int] = (2, 2)) -> DensityMatrix:
     """Random mixture of ``k`` random product states with uniform simplex weights."""
+    k = _check_int(k, "k")
     if not 1 <= k <= _MAX_SEPARABLE_COMPONENTS:
         raise InvalidParameterError(f"k must lie in [1, {_MAX_SEPARABLE_COMPONENTS}], got {k}")
     weights = rng.exponential(size=k)

@@ -181,8 +181,8 @@ def test_06_q_monotonicity_and_limit(tetrahedron_samples):
 def test_07_separable_soundness():
     started = time.perf_counter()
     rng = np.random.default_rng(777)
-    xx = Observable.from_matrix(kron(SIGMA_X, SIGMA_X))
-    zz = Observable.from_matrix(kron(SIGMA_Z, SIGMA_Z))
+    xx = Observable(kron(SIGMA_X, SIGMA_X))
+    zz = Observable(kron(SIGMA_Z, SIGMA_Z))
     log2 = float(np.log(2.0))
     for _ in range(10**4):
         rho = random_separable_state(int(rng.integers(1, 5)), rng)
@@ -219,13 +219,13 @@ def test_08_variance_sum_concavity():
 def test_09_entropic_reference_values():
     started = time.perf_counter()
     singlet = bell_state(4).density()
-    xx = Observable.from_matrix(kron(SIGMA_X, SIGMA_X))
-    zz = Observable.from_matrix(kron(SIGMA_Z, SIGMA_Z))
+    xx = Observable(kron(SIGMA_X, SIGMA_X))
+    zz = Observable(kron(SIGMA_Z, SIGMA_Z))
     verdict = entropic_sum_criterion(singlet, xx, zz, float(np.log(2.0)))
     assert verdict.value <= 1e-12 and verdict.detected
 
-    mx = Observable.from_matrix(SIGMA_X)
-    mz = Observable.from_matrix(SIGMA_Z)
+    mx = Observable(SIGMA_X)
+    mz = Observable(SIGMA_Z)
     assert abs(maassen_bound(mx, mz) - np.log(2.0)) <= 1e-12
 
     assert schmidt_entropy_bound(0.5, 2.0) == 0.5

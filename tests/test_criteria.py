@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uwit.errors import (
     DegenerateObservableError,
@@ -9,6 +10,7 @@ from uwit.errors import (
 )
 from uwit.linalg import HERMITICITY_TOL, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, expectation, hermiticity_defect, kron
 from uwit.criteria import (
+    DEGENERACY_TOL,
     Observable,
     _entropy,
     bell_populations,
@@ -48,8 +50,8 @@ NEAR_BOUNDARY_BELL_DIAGONAL = DensityMatrix(
 MIXED = maximally_mixed()
 ZERO_ZERO = DensityMatrix(np.diag([1.0, 0, 0, 0]).astype(complex), (2, 2))
 
-XX = Observable.from_matrix(kron(SIGMA_X, SIGMA_X))
-ZZ = Observable.from_matrix(kron(SIGMA_Z, SIGMA_Z))
+XX = Observable(kron(SIGMA_X, SIGMA_X))
+ZZ = Observable(kron(SIGMA_Z, SIGMA_Z))
 
 
 def random_tetrahedron_coords(rng):
@@ -59,22 +61,66 @@ def random_tetrahedron_coords(rng):
             return c
 
 
+@st.composite
+def hermitian_matrices(draw):
+    """U diag(lambda) U^dagger for a Haar-like U, with lambda drawn from at
+    most n levels, so eigenvalues repeat, at norms from 1e-2 to about 1e7."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = 10.0 ** draw(st.integers(-2, 7)) * rng.uniform(-1.0, 1.0, draw(st.integers(1, n)))
+    eigenvalues = levels[draw(st.lists(st.integers(0, len(levels) - 1), min_size=n, max_size=n))]
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    return u @ np.diag(eigenvalues) @ u.conj().T
+
+
 class TestObservable:
-    def test_spectral_resolution(self):
-        rng = np.random.default_rng(31)
-        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        obs = Observable.from_matrix((x + x.conj().T) / 2)
+    @settings(max_examples=150, deadline=None)
+    @given(hermitian_matrices())
+    def test_spectral_resolution(self, m):
+        """The projectors resolve the identity and the matrix, are mutually
+        orthogonal, and sit on ascending eigenvalues more than
+        DEGENERACY_TOL apart; the matrix and projectors are read-only and
+        share no memory with the caller's array."""
+        obs = Observable(m)
+        n, scale = len(m), max(1.0, np.linalg.norm(m))
+        values = [val for val, _ in obs.spectral]
+        assert all(b - a > DEGENERACY_TOL for a, b in zip(values, values[1:]))
         total = sum(proj for _, proj in obs.spectral)
-        assert np.linalg.norm(total - np.eye(4)) < 1e-10
+        assert np.linalg.norm(total - np.eye(n)) < 1e-10
         rebuilt = sum(val * proj for val, proj in obs.spectral)
-        assert np.linalg.norm(rebuilt - obs.matrix) < 1e-9
+        assert np.linalg.norm(rebuilt - m) < 1e-9 * scale + n * DEGENERACY_TOL
         for i, (_, pi) in enumerate(obs.spectral):
             for j, (_, pj) in enumerate(obs.spectral):
                 expected = pi if i == j else np.zeros_like(pi)
                 assert np.linalg.norm(pi @ pj - expected) < 1e-10
+        assert obs.matrix.tobytes() == m.astype(complex).tobytes()
+        for a in (obs.matrix, *(proj for _, proj in obs.spectral)):
+            assert not a.flags.writeable
+            assert not np.shares_memory(a, m)
+
+    def test_built_from_its_matrix_alone(self):
+        """A spectral decomposition cannot be handed in: this one, with
+        projectors that resolve neither the identity nor the matrix, is
+        refused; there is no other constructor."""
+        bogus = ((-1.0, np.diag([0.0, 3.0])), (1.0, np.diag([0.2, 0.0])))
+        with pytest.raises(TypeError):
+            Observable(np.diag([1.0, -1.0]), bogus)
+        with pytest.raises(TypeError):
+            Observable(np.diag([1.0, -1.0]), spectral=bogus)
+        assert not hasattr(Observable, "from_matrix")
+
+    def test_a_later_write_to_the_callers_array_changes_nothing(self):
+        m = kron(SIGMA_Z, ID2).copy()
+        obs = Observable(m)
+        m[0, 0] = 5.0
+        assert obs.matrix.tobytes() == kron(SIGMA_Z, ID2).tobytes()
+        with pytest.raises(ValueError):
+            obs.matrix[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            obs.spectral[0][1][0, 0] = 5.0
 
     def test_degenerate_grouping(self):
-        obs = Observable.from_matrix(kron(SIGMA_Z, SIGMA_Z))
+        obs = Observable(kron(SIGMA_Z, SIGMA_Z))
         assert len(obs.spectral) == 2
         values = [val for val, _ in obs.spectral]
         assert np.allclose(values, [-1.0, 1.0], atol=1e-12)
@@ -82,11 +128,11 @@ class TestObservable:
 
     def test_rejects_a_stack(self):
         with pytest.raises(DimensionMismatchError):
-            Observable.from_matrix(np.array([SIGMA_Z, SIGMA_X]))
+            Observable(np.array([SIGMA_Z, SIGMA_X]))
 
     def test_large_norm_observables_pass_the_variance_check(self):
-        """from_matrix (through hermitian_eigen) applies the Hermiticity
-        bound variance applies, relative to the norm: U D U^dagger with D in
+        """Observable (through hermitian_eigen) applies the Hermiticity
+        bound expectation applies, relative to the norm: U D U^dagger with D in
         +-1e6 and +-1e7 is Hermitian only up to roundoff that grows with its
         norm, and most of these 400 exceed the absolute HERMITICITY_TOL."""
         rng = np.random.default_rng(7)
@@ -98,13 +144,13 @@ class TestObservable:
                 d = rng.uniform(-scale, scale, 4)
                 m = u @ np.diag(d) @ u.conj().T
                 above_absolute += hermiticity_defect(m) > HERMITICITY_TOL
-                obs = Observable.from_matrix(m)
+                obs = Observable(m)
                 assert [value for value, _ in obs.spectral] == pytest.approx(np.sort(d), rel=1e-9)
                 assert variance(rho, m) >= 0.0
                 bad = m.copy()
                 bad[0, 1] += 1e-8 * np.linalg.norm(m)
                 with pytest.raises(NotHermitianError):
-                    Observable.from_matrix(bad)
+                    Observable(bad)
         assert above_absolute > 200
 
 
@@ -181,6 +227,17 @@ class TestLur:
         verdict = lur_value(SINGLET, collective_paulis(), 4.0)
         assert verdict.criterion_id == "lur" and verdict.detected
 
+    @pytest.mark.parametrize("bound", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bound_refused(self, bound):
+        with pytest.raises(InvalidParameterError):
+            lur_value(MIXED, collective_paulis(), bound)
+
+    def test_numpy_bound_gives_python_types(self):
+        for rho in (SINGLET, MIXED):
+            verdict = lur_value(rho, collective_paulis(), np.float64(4.0))
+            assert type(verdict.value) is float and type(verdict.threshold) is float
+            assert type(verdict.detected) is bool
+
 
 class TestWitnesses:
     def test_linear_on_singlet(self):
@@ -247,7 +304,7 @@ class TestMeasurementDistribution:
     def test_eigenstate_gives_delta(self):
         rng = np.random.default_rng(35)
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        obs = Observable.from_matrix((x + x.conj().T) / 2)
+        obs = Observable((x + x.conj().T) / 2)
         assert obs.nondegenerate
         val, proj = obs.spectral[2]
         vec = np.linalg.eigh(obs.matrix)[1][:, 2]
@@ -259,24 +316,87 @@ class TestMeasurementDistribution:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            measurement_distribution(MIXED, Observable.from_matrix(SIGMA_Z))
+            measurement_distribution(MIXED, Observable(SIGMA_Z))
 
-    def test_one_check_per_call(self, monkeypatch):
-        """One expectation call on the stack of projectors: rho and the
-        projectors are checked once per call, not once per outcome; the
-        values are each projector's own."""
+    def test_no_check_per_call(self, monkeypatch):
+        """rho and the observable were checked when built, so no Hermiticity
+        check runs per call; the values are each projector's own, as
+        expectation gives them."""
         from uwit import linalg
 
         rng = np.random.default_rng(36)
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        obs = Observable.from_matrix((x + x.conj().T) / 2)
+        obs = Observable((x + x.conj().T) / 2)
         rho = random_density_matrix((2, 2), rng)
+        expected = [expectation(rho.matrix, x) for _, x in obs.spectral]
         checks = []
         check = linalg._check_hermitian
         monkeypatch.setattr(linalg, "_check_hermitian", lambda a, name: checks.append(name) or check(a, name))
         probs = measurement_distribution(rho, obs)
-        assert checks == ["rho", "m"]
-        assert probs.tolist() == [expectation(rho.matrix, x) for _, x in obs.spectral]
+        assert checks == []
+        assert probs.tolist() == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(hermitian_matrices(), st.integers(0, 2**32 - 1))
+def test_distribution_and_variance_are_expectation_bit_for_bit(m, seed):
+    """measurement_distribution and variance read unchecked traces of what
+    was checked when built: the same bits as expectation on the same
+    operands, for an Observable and for its raw matrix."""
+    rho = random_density_matrix((1, len(m)), np.random.default_rng(seed))
+    obs = Observable(m)
+    projectors = np.array([x for _, x in obs.spectral])
+    expected = np.clip(expectation(rho.matrix, projectors), 0.0, None)
+    assert measurement_distribution(rho, obs).tobytes() == expected.tobytes()
+    mat = m.astype(complex)
+    mean = expectation(rho.matrix, mat)
+    expected = max(expectation(rho.matrix, mat @ mat) - mean * mean, 0.0)
+    assert variance(rho, obs) == variance(rho, m) == expected
+
+
+class TestChecksOnce:
+    def test_no_hermiticity_check_on_validated_operands(self, monkeypatch):
+        """States and observables are checked when built, and the criteria
+        that take them check nothing again."""
+        from uwit import linalg
+
+        rho = random_density_matrix((2, 2), np.random.default_rng(40))
+        paulis = collective_paulis()
+        calls = {
+            "measurement_distribution": lambda: measurement_distribution(rho, XX),
+            "variance": lambda: variance(rho, ZZ),
+            "entropic_sum_criterion": lambda: entropic_sum_criterion(rho, XX, ZZ, np.log(2)),
+            "lur_value": lambda: lur_value(rho, paulis, 4.0),
+        }
+        expected = {name: call() for name, call in calls.items()}
+        checks = []
+        check = linalg._check_hermitian
+        monkeypatch.setattr(linalg, "_check_hermitian", lambda a, name: checks.append(name) or check(a, name))
+        for name, call in calls.items():
+            assert repr(call()) == repr(expected[name])
+            assert checks == [], name
+
+    def test_a_raw_matrix_is_checked_once(self, monkeypatch):
+        from uwit import linalg
+
+        checks = []
+        check = linalg._check_hermitian
+        monkeypatch.setattr(linalg, "_check_hermitian", lambda a, name: checks.append(name) or check(a, name))
+        variance(MIXED, kron(SIGMA_Z, ID2))
+        assert len(checks) == 1
+
+    def test_a_raw_matrix_is_still_refused(self):
+        bad = kron(SIGMA_Z, ID2) + 1e-6j * np.triu(np.ones((4, 4)), 1)
+        with pytest.raises(NotHermitianError):
+            variance(MIXED, bad)
+        with pytest.raises(NotHermitianError):
+            variance(MIXED, np.full((4, 4), np.nan))
+        with pytest.raises(DimensionMismatchError):
+            variance(MIXED, SIGMA_Z)
+        with pytest.raises(DimensionMismatchError):
+            variance(MIXED, Observable(SIGMA_Z))
+        with pytest.raises(DimensionMismatchError):
+            variance(MIXED, np.ones((4, 2)))
 
 
 class TestEntropies:
@@ -351,26 +471,26 @@ class TestEntropies:
 
 class TestMaassenBound:
     def test_pauli_pair(self):
-        mx = Observable.from_matrix(SIGMA_X)
-        mz = Observable.from_matrix(SIGMA_Z)
+        mx = Observable(SIGMA_X)
+        mz = Observable(SIGMA_Z)
         assert maassen_bound(mx, mz) == pytest.approx(np.log(2), abs=1e-12)
 
     def test_shared_eigenbasis(self):
         rng = np.random.default_rng(38)
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        obs = Observable.from_matrix((x + x.conj().T) / 2)
+        obs = Observable((x + x.conj().T) / 2)
         assert maassen_bound(obs, obs) == pytest.approx(0.0, abs=1e-12)
 
     def test_tilted_basis(self):
         # eigenvectors of (X+Z)/sqrt(2) sit at angle pi/8 from the Z basis
-        mz = Observable.from_matrix(SIGMA_Z)
-        mh = Observable.from_matrix((SIGMA_X + SIGMA_Z) / np.sqrt(2))
+        mz = Observable(SIGMA_Z)
+        mh = Observable((SIGMA_X + SIGMA_Z) / np.sqrt(2))
         expected = -2 * np.log(np.cos(np.pi / 8))
         assert maassen_bound(mz, mh) == pytest.approx(expected, abs=1e-12)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateObservableError):
-            maassen_bound(XX, Observable.from_matrix(SIGMA_Z))
+            maassen_bound(XX, Observable(SIGMA_Z))
 
 
 class TestEntropicSum:
@@ -388,8 +508,20 @@ class TestEntropicSum:
         assert verdict.value == pytest.approx(np.log(2), abs=1e-12)
         assert not verdict.detected
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bound_refused(self, c):
+        """c = inf would report the maximally mixed state as entangled."""
+        with pytest.raises(InvalidParameterError):
+            entropic_sum_criterion(MIXED, XX, ZZ, c)
+
+    def test_numpy_bound_gives_python_types(self):
+        for rho in (SINGLET, MIXED):
+            verdict = entropic_sum_criterion(rho, XX, ZZ, np.log(2))
+            assert type(verdict.value) is float and type(verdict.threshold) is float
+            assert type(verdict.detected) is bool
+
     def test_zero_eigenvalue_rejected(self):
-        projector = Observable.from_matrix(np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex))
+        projector = Observable(np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex))
         with pytest.raises(InvalidParameterError):
             entropic_sum_criterion(SINGLET, projector, ZZ, np.log(2))
 
@@ -501,7 +633,7 @@ class TestBellCriteria:
         assert bell_populations(rho).min() == 0.0
         assert bell_variance_criterion(rho).detected
         assert bell_tsallis_criterion(rho, 1.0).detected
-        bell_basis = Observable.from_matrix(
+        bell_basis = Observable(
             sum(k * s.density().matrix for k, s in enumerate(bell_states(), start=1))
         )
         probs = measurement_distribution(rho, bell_basis)

@@ -245,6 +245,19 @@ class TestNoiseBall:
         with pytest.raises(InvalidParameterError):
             NoiseBallConfig(samples=0)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"samples": 2.5}, {"samples": np.float64(300.0)}, {"samples": "300"}, {"seed": 1.5}, {"seed": "7"}]
+    )
+    def test_non_integer_seed_or_samples_refused(self, kwargs):
+        """Refused where they enter, not by a TypeError deep in a sweep."""
+        with pytest.raises(InvalidParameterError):
+            NoiseBallConfig(**kwargs)
+
+    def test_numpy_and_negative_integers_accepted(self):
+        config = NoiseBallConfig(seed=np.int64(-7), samples=np.uint16(300))
+        assert (config.seed, config.samples) == (-7, 300)
+        assert type(config.seed) is int and type(config.samples) is int
+
 
 class TestNpt:
     def test_maximally_mixed(self):
@@ -360,6 +373,15 @@ class TestRandomStates:
         for k in (1, 2, 3, 4):
             rho = random_separable_state(k, rng)
             assert rho.dims == (2, 2)
+
+    @pytest.mark.parametrize("k", [1.5, 2.0, np.float64(2.0), "2"])
+    def test_non_integer_component_count_refused(self, k):
+        with pytest.raises(InvalidParameterError):
+            random_separable_state(k, np.random.default_rng(15))
+
+    def test_numpy_integer_component_count_accepted(self):
+        rho = random_separable_state(np.int64(3), np.random.default_rng(15))
+        assert rho.matrix.tobytes() == random_separable_state(3, np.random.default_rng(15)).matrix.tobytes()
 
     def test_density_matrix_sampler(self):
         rng = np.random.default_rng(16)
