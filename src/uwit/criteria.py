@@ -47,7 +47,7 @@ BELL_SCHMIDT_SQ = 0.5
 BELL_Q_MAX = 1000.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observable:
     """Hermitian observable with its spectral decomposition, built from its
     matrix alone: the matrix is copied, checked once by hermitian_eigen and

@@ -8,7 +8,6 @@ and reuses it at every singlet weight of the grid."""
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import astuple, dataclass
 from itertools import product
 from pathlib import Path
@@ -22,6 +21,7 @@ from .states import (
     NPT_THRESHOLD,
     NoiseBallConfig,
     _bell_columns,
+    _check_int,
     _check_weight,
     _draw_noise_block,
     _min_pt_eigenvalues,
@@ -65,7 +65,7 @@ class DetectionRow:
     seed: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeometryScan:
     """Vectorized result of a Bell-diagonal grid scan over ``axis`` cubed;
     geometry_scan_to_dicts gives one record per cell and q. The flags are
@@ -280,7 +280,7 @@ def run_geometry_scan(resolution: int = 101, q_values=(2.0, 4.0, 15.0)) -> Geome
     not per cube. A resolution whose flags numpy cannot allocate, or whose
     cube exceeds numpy's largest array, raises InvalidParameterError.
     """
-    resolution = operator.index(resolution)  # a Python int: a numpy int's cube would wrap
+    resolution = _check_int(resolution, "resolution")  # a Python int: a numpy int's cube would wrap
     if resolution < 2:
         raise InvalidParameterError(f"resolution must be at least 2, got {resolution}")
     q_values = tuple(_check_bell_q(float(q)) for q in q_values)

@@ -21,7 +21,7 @@ for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, ID2):
     _m.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigendecomposition of a Hermitian matrix, or of each matrix in a
     (..., n, n) stack, with the stack axes leading both fields.
@@ -48,22 +48,37 @@ def _hs_norms(a: np.ndarray):
     return np.sqrt(np.square(a.view(float)).sum(axis=(-2, -1)))
 
 
+def _adjoint_difference(m) -> np.ndarray:
+    """m - m^dagger, C-ordered, for a square matrix or a (..., n, n) stack."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise DimensionMismatchError(f"expected square matrices, got shape {a.shape}")
+    return np.subtract(a, a.conj().swapaxes(-2, -1), order="C")
+
+
 def hermiticity_defect(m):
     """Hilbert-Schmidt norm of m - m^dagger: a float for one matrix, an array
     of one norm per matrix for a (..., n, n) stack. A NaN or infinite entry
     makes its matrix's defect non-finite."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise DimensionMismatchError(f"expected square matrices, got shape {a.shape}")
-    defects = _hs_norms(np.subtract(a, a.conj().swapaxes(-2, -1), order="C"))
-    return float(defects) if a.ndim == 2 else defects
+    defects = _hs_norms(_adjoint_difference(m))
+    return float(defects) if defects.ndim == 0 else defects
+
+
+def _exactly_hermitian(m) -> bool:
+    """True when m - m^dagger has no nonzero entry, so every defect is 0; a
+    NaN or infinite entry leaves a NaN or infinite difference (inf - inf)."""
+    return not _adjoint_difference(m).any()
 
 
 def _check_hermitian(a: np.ndarray, name: str) -> None:
     """Raise NotHermitianError unless each matrix of a complex (..., n, n)
-    stack is Hermitian within HERMITICITY_TOL * max(1, ||M||); the norms are
-    taken only when the absolute bound fails."""
-    defect = hermiticity_defect(a)
+    stack is Hermitian within HERMITICITY_TOL * max(1, ||M||). An exactly
+    Hermitian stack returns at once; otherwise the defects come from the
+    same difference, and the norms only when the absolute bound fails."""
+    difference = _adjoint_difference(a)
+    if not difference.any():
+        return  # exactly Hermitian: every defect is 0
+    defect = _hs_norms(difference)
     if np.all(defect <= HERMITICITY_TOL):
         return  # within every matrix's bound, so no norm is needed
     bound = HERMITICITY_TOL * np.maximum(1.0, _hs_norms(np.ascontiguousarray(a)))

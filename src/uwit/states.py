@@ -29,6 +29,7 @@ from .linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _exactly_hermitian,
     expectation,
     hermitian_eigen,
     hermiticity_defect,
@@ -48,7 +49,7 @@ POPULATION_TOL = -1e-12
 _SEED_MASK = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A bipartite density matrix: Hermitian, unit trace, positive semidefinite.
 
@@ -103,9 +104,9 @@ def _check_dims(dims) -> tuple[int, int]:
 def density_matrix_violations(m: np.ndarray) -> list[str]:
     """Names of the density-matrix invariants violated by ``m`` (empty = valid)."""
     violations = []
-    if not np.isfinite(m).all():
+    if not np.isfinite(m).all():  # first, so that no inf - inf is subtracted below
         return ["finite_entries"]
-    if hermiticity_defect(m) > HERMITICITY_TOL:
+    if not _exactly_hermitian(m) and hermiticity_defect(m) > HERMITICITY_TOL:
         violations.append("hermitian")
     trace = complex(np.trace(m))
     if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
@@ -118,7 +119,7 @@ def density_matrix_violations(m: np.ndarray) -> list[str]:
     return violations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """A normalized pure state on a bipartite system."""
 
@@ -546,8 +547,8 @@ def load_state(path) -> DensityMatrix:
     invariants, for well-formed files whose matrix is not a valid state.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        with open(path, "rb", buffering=0) as fh:
+            payload = json.loads(fh.read().decode("utf-8"))
     except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a huge int, deep nesting
         raise StateFormatError(f"cannot parse state file {path}: {exc}") from exc
     if not isinstance(payload, dict):

@@ -576,6 +576,11 @@ class TestGeometryScan:
         # 2**66 cells: as np.int64 the cube would wrap to 0 and scan nothing
         with pytest.raises(InvalidParameterError):
             run_geometry_scan(resolution=np.int64(2**22), q_values=[2.0])
+        # a resolution is an integer, not truncated or parsed
+        for resolution in (2.5, "71", np.float64(71.0)):
+            with pytest.raises(InvalidParameterError, match="resolution"):
+                run_geometry_scan(resolution=resolution, q_values=[2.0])
+        assert run_geometry_scan(resolution=np.int64(3), q_values=[2.0]).resolution == 3
 
     def test_matches_state_level_route(self):
         # coordinate formulas versus actual density matrices and verdicts

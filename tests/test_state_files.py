@@ -149,6 +149,9 @@ malformed_files = st.one_of(not_json, not_objects, missing_keys, bad_dims, bad_s
 @example(('{"dims": [2, 2], "re": [[' + "1" * 5000 + ']], "im": [[0.0]]}', 2))  # beyond int parsing
 @example(("[" * 100_000, 2))
 @example((b"\xff\xfe{}", 2))  # not UTF-8
+@example((b"\xef\xbb\xbf" + _with().encode(), 2))  # a UTF-8 byte-order mark is not JSON
+@example((_with().encode("utf-16"), 2))  # read as UTF-8, never detected as UTF-16
+@example((_with().encode("utf-16-le"), 2))  # valid UTF-8, but NUL is not JSON
 def test_malformed_files_exit_with_one_error_line(case):
     text, code = case
     out, err = io.StringIO(), io.StringIO()
@@ -158,3 +161,28 @@ def test_malformed_files_exit_with_one_error_line(case):
         assert main(["evaluate", str(path)]) == code
     assert out.getvalue() == ""
     assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
+
+
+def _evaluate(path) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["evaluate", str(path), "--q", "2", "--q", "15"])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_crlf_line_ends_give_the_lf_files_report(tmp_path):
+    """A saved state rewritten with CRLF line ends and indentation is the
+    same state: exit 0 and a report byte-identical to the LF file's."""
+    lf, crlf = tmp_path / "lf.json", tmp_path / "crlf.json"
+    save_state(random_density_matrix((2, 2), np.random.default_rng(30)), lf)
+    crlf.write_bytes(json.dumps(json.loads(lf.read_bytes()), indent=1).replace("\n", "\r\n").encode() + b"\r\n")
+    assert b"\r\n" in crlf.read_bytes()
+    expected = _evaluate(lf)
+    assert expected[0] == 0 and expected[2] == ""
+    assert _evaluate(crlf) == expected
+
+
+def test_a_directory_is_a_format_error(tmp_path):
+    code, out, err = _evaluate(tmp_path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1

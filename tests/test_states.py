@@ -11,7 +11,9 @@ from uwit.errors import (
     StateFormatError,
     StateInvariantError,
 )
-from uwit.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, hs_norm, kron
+from uwit.criteria import Observable
+from uwit.experiments import run_geometry_scan
+from uwit.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, hermitian_eigen, hs_norm, kron
 from uwit.states import (
     BellDiagonalCoords,
     DensityMatrix,
@@ -434,3 +436,27 @@ class TestJsonRoundTrip:
         with pytest.raises(StateInvariantError) as err:
             load_state(path)
         assert "unit_trace" in err.value.violations
+
+
+class TestIdentityEquality:
+    """The frozen classes that hold arrays compare and hash by identity:
+    a generated == over arrays would raise, and a generated hash would too."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            maximally_mixed,
+            lambda: bell_state(4),
+            lambda: Observable(SIGMA_Z),
+            lambda: hermitian_eigen(SIGMA_X),
+            lambda: run_geometry_scan(3, (2.0,)),
+        ],
+        ids=["DensityMatrix", "PureState", "Observable", "Spectrum", "GeometryScan"],
+    )
+    def test_eq_and_hash_are_identity(self, build):
+        a, b = build(), build()
+        assert a == a and not (a != a)
+        assert a != b and not (a == b)
+        assert hash(a) == hash(a)
+        assert {a, a, b} == {a, b} and len({a, b}) == 2
+        assert a in {a} and b not in {a}
