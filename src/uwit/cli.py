@@ -27,7 +27,6 @@ from pathlib import Path
 from . import __version__
 from .errors import (
     ConvergenceError,
-    DimensionMismatchError,
     InvalidParameterError,
     NumericalDefectError,
     StateInvariantError,
@@ -266,8 +265,6 @@ def _json_text(dims, verdicts, npt: bool, min_pt: float) -> str:
 
 def _cmd_evaluate(args) -> None:
     rho = load_state(args.state)
-    if rho.dims != (2, 2):
-        raise DimensionMismatchError(f"criteria are defined for dims [2, 2], got {list(rho.dims)}")
     q_values = args.q or [2.0]
     verdicts = [v for name in args.criteria for v in _CRITERIA[name](rho, q_values)]
     npt, min_pt = is_npt(rho)

@@ -22,7 +22,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
 )
-from .linalg import _traces, hermitian_eigen
+from .linalg import _as_square, _traces, hermitian_eigen
 from .states import _PAULI_BASIS, NPT_THRESHOLD, DensityMatrix, _bell_columns, _witness_values
 
 DEGENERACY_TOL = 1e-8
@@ -62,9 +62,7 @@ class Observable:
     spectral: tuple[tuple[float, np.ndarray], ...] = field(init=False)
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.ndim != 2:  # hermitian_eigen also takes stacks
-            raise DimensionMismatchError(f"an observable is one square matrix, got shape {mat.shape}")
+        mat = _as_square(np.array(self.matrix, dtype=complex))  # one matrix: hermitian_eigen takes stacks too
         eig = hermitian_eigen(mat)
         groups: list[list[int]] = []
         for idx, val in enumerate(eig.eigenvalues):

@@ -348,12 +348,6 @@ DETECTION_CSV_HEADER = "p,frac_witness,frac_lur,frac_npt,samples,seed"
 GEOMETRY_CSV_HEADER = "x,y,z,is_state,in_octahedron,sphere_detected,q,tsallis_detected"
 
 
-def _detection_rows(rows):
-    """Each sweep row's values in DETECTION_CSV_HEADER order, which is the
-    field order of DetectionRow."""
-    return map(astuple, rows)
-
-
 def _geometry_slabs(scan: GeometryScan, number, words, field, sep, ends):
     """The text of the scan in file order, x-slab by x-slab (resolution**2
     cells over y, then z, one row per cell per listed q): each slab's head,
@@ -404,12 +398,13 @@ def _geometry_slabs(scan: GeometryScan, number, words, field, sep, ends):
 
 
 def write_detection_csv(rows, path) -> None:
-    """Write sweep rows as CSV (floats with 9 significant digits)."""
+    """Write sweep rows as CSV (floats with 9 significant digits); the field
+    order of DetectionRow is that of DETECTION_CSV_HEADER."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(DETECTION_CSV_HEADER + "\n")
         fh.writelines(
             f"{_fmt(p)},{_fmt(witness)},{_fmt(lur)},{_fmt(npt)},{samples},{seed}\n"
-            for p, witness, lur, npt, samples, seed in _detection_rows(rows)
+            for p, witness, lur, npt, samples, seed in map(astuple, rows)
         )
 
 
@@ -419,12 +414,6 @@ def write_geometry_csv(scan: GeometryScan, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(GEOMETRY_CSV_HEADER + "\n")
         fh.writelines(_geometry_slabs(scan, _fmt, _FLAG, lambda column, value: value, ",", ("", "\n")))
-
-
-def detection_rows_to_dicts(rows) -> list[dict]:
-    """One dict per sweep row, keyed by the CSV columns."""
-    columns = DETECTION_CSV_HEADER.split(",")
-    return [dict(zip(columns, row)) for row in _detection_rows(rows)]
 
 
 def geometry_scan_to_dicts(scan: GeometryScan):
@@ -441,8 +430,10 @@ def geometry_scan_to_dicts(scan: GeometryScan):
 
 
 def write_detection_json(rows, path) -> None:
-    """Write sweep rows as an indented JSON list of detection_rows_to_dicts."""
-    text = json.dumps(detection_rows_to_dicts(rows), indent=2) + "\n"
+    """Write sweep rows as an indented JSON list, one dict per row keyed by
+    the CSV columns."""
+    columns = DETECTION_CSV_HEADER.split(",")
+    text = json.dumps([dict(zip(columns, row)) for row in map(astuple, rows)], indent=2) + "\n"
     Path(path).write_text(text, encoding="utf-8")
 
 

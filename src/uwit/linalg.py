@@ -64,23 +64,15 @@ def hermiticity_defect(m):
     return float(defects) if defects.ndim == 0 else defects
 
 
-def _exactly_hermitian(m) -> bool:
-    """True when m - m^dagger has no nonzero entry, so every defect is 0; a
-    NaN or infinite entry leaves a NaN or infinite difference (inf - inf)."""
-    return not _adjoint_difference(m).any()
-
-
 def _check_hermitian(a: np.ndarray, name: str) -> None:
     """Raise NotHermitianError unless each matrix of a complex (..., n, n)
     stack is Hermitian within HERMITICITY_TOL * max(1, ||M||). An exactly
     Hermitian stack returns at once; otherwise the defects come from the
-    same difference, and the norms only when the absolute bound fails."""
+    same difference."""
     difference = _adjoint_difference(a)
     if not difference.any():
         return  # exactly Hermitian: every defect is 0
     defect = _hs_norms(difference)
-    if np.all(defect <= HERMITICITY_TOL):
-        return  # within every matrix's bound, so no norm is needed
     bound = HERMITICITY_TOL * np.maximum(1.0, _hs_norms(np.ascontiguousarray(a)))
     # a non-finite entry makes the defect NaN, which fails the comparison,
     # or infinite, which must fail however large the bound

@@ -29,10 +29,11 @@ from .linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    _exactly_hermitian,
+    _adjoint_difference,
+    _as_square,
+    _hs_norms,
     expectation,
     hermitian_eigen,
-    hermiticity_defect,
     kron,
     partial_transpose,
 )
@@ -63,12 +64,10 @@ class DensityMatrix:
     dims: tuple[int, int]
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _as_square(self.matrix)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", _check_dims(self.dims))
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError(f"density matrix must be square, got {m.shape}")
-        if self.dims[0] < 1 or self.dims[1] < 1 or self.dims[0] * self.dims[1] != m.shape[0]:
+        if self.dims[0] * self.dims[1] != m.shape[0]:
             raise DimensionMismatchError(
                 f"dims {self.dims} do not factor matrix dimension {m.shape[0]}"
             )
@@ -89,15 +88,15 @@ class DensityMatrix:
         expectation call made at most once per state. Every two-qubit
         criterion reads its values from these."""
         if self.dims != (2, 2):
-            raise DimensionMismatchError(f"the Pauli values require a 2x2-qubit state, got dims {self.dims}")
+            raise DimensionMismatchError(f"the two-qubit criteria need dims (2, 2), got {self.dims}")
         return tuple(expectation(self.matrix, _PAULI_BASIS).tolist())
 
 
 def _check_dims(dims) -> tuple[int, int]:
-    """``dims`` as a pair of ints. A float or boolean entry is refused, not
-    truncated."""
-    if len(dims) != 2 or not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) for d in dims):
-        raise DimensionMismatchError(f"dims must be two integers, got {dims!r}")
+    """``dims`` as a pair of positive ints. A float or boolean entry is
+    refused, not truncated."""
+    if len(dims) != 2 or not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1 for d in dims):
+        raise DimensionMismatchError(f"dims must be two positive integers, got {dims!r}")
     return int(dims[0]), int(dims[1])
 
 
@@ -106,7 +105,8 @@ def density_matrix_violations(m: np.ndarray) -> list[str]:
     violations = []
     if not np.isfinite(m).all():  # first, so that no inf - inf is subtracted below
         return ["finite_entries"]
-    if not _exactly_hermitian(m) and hermiticity_defect(m) > HERMITICITY_TOL:
+    difference = _adjoint_difference(m)
+    if difference.any() and _hs_norms(difference) > HERMITICITY_TOL:
         violations.append("hermitian")
     trace = complex(np.trace(m))
     if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:

@@ -125,16 +125,18 @@ class TestEvaluate:
 
     def test_a_state_hermitian_only_within_the_bound_takes_the_defect_norm(self, tmp_path, monkeypatch, capsys):
         """A state file Hermitian within HERMITICITY_TOL but not exactly is
-        accepted after one defect norm in its validation; the kept Hermitian
-        part is exact, so the three checks after it take none."""
+        accepted after one difference and one defect norm in its validation;
+        the kept Hermitian part is exact, so the three checks after it take
+        one difference each and no norm."""
         m = np.eye(4) / 4.0
         m[0, 1] = 1e-13
         state = tmp_path / "near.json"
         state.write_text(json.dumps({"dims": [2, 2], "re": m.tolist(), "im": np.zeros((4, 4)).tolist()}))
-        calls = count_calls(monkeypatch, uwit.linalg, ("hermiticity_defect", "_check_hermitian", "_hs_norms"))
+        names = ("_adjoint_difference", "hermiticity_defect", "_check_hermitian", "_hs_norms")
+        calls = count_calls(monkeypatch, uwit.linalg, names)
         assert run_cli("evaluate", state) == 0
         assert json.loads(capsys.readouterr().out)["npt"] is False
-        assert calls == {"hermiticity_defect": 1, "_check_hermitian": 3, "_hs_norms": 1}, calls
+        assert calls == {"_adjoint_difference": 4, "hermiticity_defect": 0, "_check_hermitian": 3, "_hs_norms": 1}, calls
 
     @pytest.mark.parametrize("q_args", [(), ("--q", "2"), ("--q", "0.5", "--q", "1", "--q", "2", "--q", "200")])
     def test_derived_values_are_computed_once(self, tmp_path, monkeypatch, capsys, q_args):
@@ -165,12 +167,19 @@ class TestEvaluate:
         state.write_text("{oops")
         assert run_cli("evaluate", state) == 2
 
-    def test_wrong_dims_exit_2(self, tmp_path):
+    def test_wrong_dims_exit_2(self, tmp_path, capsys):
+        """A valid state of dims other than (2, 2) is refused, with one error
+        line and no output, by the Pauli values that every criterion reads."""
         state = tmp_path / "qutrit.json"
         m = np.eye(6) / 6
         payload = {"dims": [2, 3], "re": m.tolist(), "im": np.zeros((6, 6)).tolist()}
         state.write_text(json.dumps(payload))
-        assert run_cli("evaluate", state) == 2
+        for criteria in ((), *(("--criteria", name) for name in CRITERION_CHOICES)):
+            assert run_cli("evaluate", state, *criteria) == 2
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert captured.out == "" and "Traceback" not in captured.err
+            assert len(lines) == 1 and lines[0].startswith("error: ") and "(2, 3)" in lines[0], lines
 
     def test_criteria_selection_and_q(self, tmp_path, capsys):
         state = tmp_path / "singlet.json"

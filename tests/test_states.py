@@ -92,6 +92,17 @@ class TestDensityMatrix:
         with pytest.raises(DimensionMismatchError):
             PureState([1.0, 0.0, 0.0, 0.0], dims)
 
+    @pytest.mark.parametrize("dims", [(-2, -2), (0, 4), (4, 0), (-1, -4)])
+    def test_dims_below_one_are_refused(self, dims):
+        """A dimension below 1 is refused at construction, also where the
+        product of the dims matches the size."""
+        with pytest.raises(DimensionMismatchError, match="positive"):
+            DensityMatrix(np.eye(4, dtype=complex) / 4, dims)
+        with pytest.raises(DimensionMismatchError, match="positive"):
+            PureState(np.eye(4)[0], dims)
+        with pytest.raises(DimensionMismatchError, match="positive"):
+            random_pure_state(dims, np.random.default_rng(0))
+
     def test_integer_dims_of_any_int_type(self):
         for dims in ((2, 2), [2, 2], (np.int64(2), np.int32(2))):
             rho = DensityMatrix(np.eye(4, dtype=complex) / 4, dims)
