@@ -41,11 +41,13 @@ _BLOCK = 256
 # A sweep runs in process unless the time a pool would save exceeds the
 # pool's start-up (forking, sending the tasks, shutting down). Inside the
 # separable ball no first candidate is rejected, so the in-process time is
-# about _DRAW_S per sample for the noise draw, which d = 0 skips, plus
-# _FLAG_S for the flags; with 2 workers the pool pays from about 4,000
-# samples at d > 0 and 25,000 at d = 0 (2 cores, default 21-point grid).
-_DRAW_S = 20e-6
-_FLAG_S = 4e-6
+# about _FLAG_S per sample for the flags of d = 0, whose noise is the
+# diagonal I/4, plus _DRAW_S at d > 0 for the noise draw (about 7 us) and
+# the flags' extra eigensolver work on drawn noise (about 2.5 us). With 2
+# workers the pool pays from about 8,000 samples at d > 0 and 40,000 at
+# d = 0 (2 cores, default 21-point grid).
+_DRAW_S = 10e-6
+_FLAG_S = 2.5e-6
 _POOL_START_S = 0.05
 _SEPARABLE_RADIUS = 1.0 / np.sqrt(12.0)
 # closed-form sweep decisions this close to a threshold are re-decided per p

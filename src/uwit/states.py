@@ -47,7 +47,7 @@ UNIT_NORM_TOL = 1e-12
 PSD_TOL = -1e-9
 POPULATION_TOL = -1e-12
 
-_SEED_MASK = (1 << 64) - 1
+_SEED_MASK = 2**64 - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +94,12 @@ class DensityMatrix:
 
 def _check_dims(dims) -> tuple[int, int]:
     """``dims`` as a pair of positive ints. A float or boolean entry is
-    refused, not truncated."""
-    if len(dims) != 2 or not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1 for d in dims):
+    refused, not truncated, and so is a value without a length."""
+    try:
+        valid = len(dims) == 2 and all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1 for d in dims)
+    except TypeError:  # no length, such as an int or None
+        valid = False
+    if not valid:
         raise DimensionMismatchError(f"dims must be two positive integers, got {dims!r}")
     return int(dims[0]), int(dims[1])
 
@@ -230,7 +234,7 @@ def singlet_projector() -> np.ndarray:
 
 
 def maximally_mixed(dims: tuple[int, int] = (2, 2)) -> DensityMatrix:
-    n = dims[0] * dims[1]
+    n = math.prod(_check_dims(dims))
     return DensityMatrix(np.eye(n, dtype=complex) / n, dims)
 
 
@@ -325,8 +329,6 @@ def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.nd
 # into the pool, 8 more generate the 4 uint64 words that seed PCG64
 _MIX_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
 _STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK_128 = (1 << 128) - 1
 
 
 def _seed_hash(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -335,11 +337,10 @@ def _seed_hash(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarr
     return words ^ (words >> 16)
 
 
-def _pcg64_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
-    """The PCG64 (state, inc) of noise_rng(seed, i) for every i in [start,
-    stop), stop <= 2^64, computed for all keys at once from numpy's
-    documented algorithms: SeedSequence over the key's uint32 words, then
-    PCG64's seeding step (O'Neill, HMC-CS-2014-0905)."""
+def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """The generate_state(4, np.uint64) words of noise_rng(seed, i)'s
+    SeedSequence for every i in [start, stop), stop <= 2^64, as C-contiguous
+    rows of an (n, 4) array, hashed for all keys at once as numpy hashes."""
     seed &= _SEED_MASK
     i = np.arange(start, stop, dtype=np.uint64)
     # A key of (seed, i) has at most 4 words, the pool size, and SeedSequence
@@ -356,41 +357,39 @@ def _pcg64_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
         mixed = 0xCA01F9DD * pool[others] - 0x4973F715 * hashed  # SeedSequence's mix
         pool[others] = mixed ^ (mixed >> 16)
     out = _seed_hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_STATE_HASH).astype(np.uint64)
-    # little-endian word pairs give the uint64s (s0, s1, i0, i1), and PCG64
-    # seeds itself with state s0:s1 and stream i0:i1, as 128-bit integers
-    states = []
-    for s0, s1, i0, i1 in zip(*(out[0::2] | out[1::2] << 32).tolist()):
-        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK_128
-        states.append((((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK_128, inc))
-    return states
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)  # not at import: numpy.random would add 10 ms to every command
+    # little-endian word pairs give the uint64s; PCG64 reads each row's memory
+    return (out[0::2] | out[1::2] << 32).T.copy()
+
+
+class _SeedWords:
+    """A _seed_words row, which _seed_words registers as np.random.PCG64's seed sequence."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def _draw_noise_block(seed: int, d: float, start: int, stop: int) -> np.ndarray:
     """Noise matrices sigma_i = sample_noise_ball(d, noise_rng(seed, i)).matrix
-    for i in [start, stop), with all first candidates built as one batch. The
-    keys are seeded by _pcg64_states, each on one reused generator. A sample
-    whose first candidate is rejected is redrawn by _draw_noise_matrix on
-    that generator, reseeded with its key, which replays that candidate."""
+    for i in [start, stop), all first candidates built as one batch, each key
+    seeded from its _seed_words row. A rejected first candidate is redrawn by
+    _draw_noise_matrix on a fresh generator of its key, which replays it."""
     n = stop - start
     if d == 0.0:
         return np.tile(np.eye(4, dtype=complex) / 4.0, (n, 1, 1))
-    keys = _pcg64_states(seed, start, stop)
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-
-    def keyed(j: int) -> np.random.Generator:
-        state, inc = keys[j]
-        bit_generator.state = {"bit_generator": "PCG64", "state": dict(state=state, inc=inc), "has_uint32": 0, "uinteger": 0}
-        return rng
-
+    words = _seed_words(seed, start, stop)
     normals = np.empty((n, 2, 4, 4))
     uniforms = np.empty(n)
     for j in range(n):
-        keyed(j).standard_normal(out=normals[j])
+        rng = np.random.Generator(np.random.PCG64(_SeedWords(words[j])))
+        rng.standard_normal(out=normals[j])
         uniforms[j] = rng.random()  # uniform() is 0 + 1 * random(): the same bits
     sigma, accepted = _noise_candidates(d, normals, uniforms)
     for j in np.flatnonzero(~accepted):
-        sigma[j] = _draw_noise_matrix(d, keyed(j))
+        sigma[j] = _draw_noise_matrix(d, np.random.Generator(np.random.PCG64(_SeedWords(words[j]))))
     return sigma
 
 
@@ -490,7 +489,7 @@ def in_witness_octahedron(c) -> bool:
 
 def random_pure_state(dims: tuple[int, int], rng: np.random.Generator) -> PureState:
     """Haar-random pure state on the bipartite system."""
-    n = dims[0] * dims[1]
+    n = math.prod(_check_dims(dims))
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return PureState(v / np.linalg.norm(v), dims)
 
@@ -498,7 +497,7 @@ def random_pure_state(dims: tuple[int, int], rng: np.random.Generator) -> PureSt
 def random_product_state(dims: tuple[int, int], rng: np.random.Generator) -> PureState:
     """Random product state |a> x |b> with Haar-random factors."""
     parts = []
-    for n in dims:
+    for n in _check_dims(dims):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         parts.append(v / np.linalg.norm(v))
     return PureState(np.kron(parts[0], parts[1]), dims)
@@ -506,12 +505,12 @@ def random_product_state(dims: tuple[int, int], rng: np.random.Generator) -> Pur
 
 def random_separable_state(k: int, rng: np.random.Generator, dims: tuple[int, int] = (2, 2)) -> DensityMatrix:
     """Random mixture of ``k`` random product states with uniform simplex weights."""
+    n = math.prod(_check_dims(dims))
     k = _check_int(k, "k")
     if not 1 <= k <= _MAX_SEPARABLE_COMPONENTS:
         raise InvalidParameterError(f"k must lie in [1, {_MAX_SEPARABLE_COMPONENTS}], got {k}")
     weights = rng.exponential(size=k)
     weights /= weights.sum()
-    n = dims[0] * dims[1]
     m = np.zeros((n, n), dtype=complex)
     for w in weights:
         a = random_product_state(dims, rng).amplitudes
@@ -521,7 +520,7 @@ def random_separable_state(k: int, rng: np.random.Generator, dims: tuple[int, in
 
 def random_density_matrix(dims: tuple[int, int], rng: np.random.Generator) -> DensityMatrix:
     """Random full-rank state G G^dagger / Tr(G G^dagger) with Ginibre G."""
-    n = dims[0] * dims[1]
+    n = math.prod(_check_dims(dims))
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m = g @ g.conj().T
     return DensityMatrix(m / np.trace(m).real, dims)

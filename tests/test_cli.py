@@ -319,7 +319,7 @@ class TestSweep:
 
     def test_summary_reports_the_workers_used(self, tmp_path, monkeypatch, capsys):
         # 5 samples fill one block, and the default 2000 do not repay a pool,
-        # so both run in process; 5000 samples do, and the pool really starts
+        # so both run in process; 20000 samples do, and the pool really starts
         started = []
         real_pool = experiments._process_pool
 
@@ -334,8 +334,8 @@ class TestSweep:
         assert run_cli("sweep", "--seed", "1", "--workers", "2", "--out", out) == 0
         assert "samples=2000, seed=1, workers=1)" in capsys.readouterr().out
         assert started == []
-        assert run_cli("sweep", "--samples", "5000", "--p-grid", "0.5", "--seed", "1", "--workers", "2", "--out", out) == 0
-        assert "samples=5000, seed=1, workers=2)" in capsys.readouterr().out
+        assert run_cli("sweep", "--samples", "20000", "--p-grid", "0.5", "--seed", "1", "--workers", "2", "--out", out) == 0
+        assert "samples=20000, seed=1, workers=2)" in capsys.readouterr().out
         assert started == [2]
 
     def test_bad_grid_exits_2(self, tmp_path):
@@ -939,7 +939,7 @@ class TestParser:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("sweep", "--samples", "6000", "--seed", "3", "--workers", "2"),
+            ("sweep", "--samples", "20000", "--seed", "3", "--workers", "2"),
             ("geometry", "--resolution", "31", "--format", "json"),
             ("evaluate", "STATE", "--q", "0.5", "--q", "1", "--q", "200"),
         ],

@@ -156,13 +156,13 @@ class TestDetectionSweep:
         # every (seed, i) is keyed exactly once, by the batch keying; inside
         # the separable ball no first candidate is redrawn through noise_rng
         keys, rebuilt = [], []
-        batch_keys = states._pcg64_states
+        batch_keys = states._seed_words
 
         def counting_keys(seed, start, stop):
             keys.extend((seed, i) for i in range(start, stop))
             return batch_keys(seed, start, stop)
 
-        monkeypatch.setattr(states, "_pcg64_states", counting_keys)
+        monkeypatch.setattr(states, "_seed_words", counting_keys)
         monkeypatch.setattr(states, "noise_rng", lambda *key: rebuilt.append(key))
         monkeypatch.setattr(experiments, "_BLOCK", 64)
         run_detection_sweep(SMALL, [0.0, 0.25, 0.5, 0.75, 1.0], workers=1)
@@ -202,9 +202,9 @@ class TestDetectionSweep:
             assert sigma[i].tobytes() == expected.tobytes()
 
     def test_redraws_build_no_seed_sequence(self, monkeypatch):
-        # a rejected first candidate is redrawn on the block's reseeded
-        # generator, so a block at d = 0.5 with rejections builds no
-        # SeedSequence, and each matrix is still the scalar sampler's
+        # a rejected first candidate is redrawn on a fresh generator seeded
+        # from the block's seed words, so a block at d = 0.5 with rejections
+        # builds no SeedSequence, and each matrix is still the scalar sampler's
         seed, d, n = 5, 0.5, 40
         expected = [sample_noise_ball(d, noise_rng(seed, i)).matrix for i in range(n)]
         rejected = []
@@ -279,8 +279,8 @@ class TestDetectionSweep:
         # samples to repay its start-up, outside it two blocks suffice
         inside, outside = 0.2886, 0.2887  # 1/sqrt(12) = 0.288675...
         assert sweep_workers(NoiseBallConfig(d=0.2, samples=2000), 2) == 1
-        assert sweep_workers(NoiseBallConfig(d=inside, samples=4000), 2) == 1
-        assert sweep_workers(NoiseBallConfig(d=inside, samples=5000), 2) == 2
+        assert sweep_workers(NoiseBallConfig(d=inside, samples=7000), 2) == 1
+        assert sweep_workers(NoiseBallConfig(d=inside, samples=9000), 2) == 2
         assert sweep_workers(NoiseBallConfig(d=0.2, samples=5000), 64) == 20
         assert sweep_workers(NoiseBallConfig(d=0.2, samples=5000), 1) == 1
         assert sweep_workers(NoiseBallConfig(d=outside, samples=257), 2) == 2
@@ -288,13 +288,13 @@ class TestDetectionSweep:
 
     def test_no_draw_share_at_d0(self):
         # at d = 0 nothing is drawn, so a sample costs only its flags and the
-        # pool pays from about 25,000 samples instead of about 4,000
-        assert sweep_workers(NoiseBallConfig(d=0.0, samples=6000), 2) == 1
-        assert sweep_workers(NoiseBallConfig(d=0.0, samples=24000), 2) == 1
-        assert sweep_workers(NoiseBallConfig(d=0.0, samples=26000), 2) == 2
-        assert sweep_workers(NoiseBallConfig(d=0.2, samples=6000), 2) == 2
+        # pool pays from about 40,000 samples instead of about 8,000
+        assert sweep_workers(NoiseBallConfig(d=0.0, samples=10000), 2) == 1
+        assert sweep_workers(NoiseBallConfig(d=0.0, samples=39000), 2) == 1
+        assert sweep_workers(NoiseBallConfig(d=0.0, samples=41000), 2) == 2
+        assert sweep_workers(NoiseBallConfig(d=0.2, samples=10000), 2) == 2
 
-    @pytest.mark.parametrize("d, samples", [(0.2, 5000), (0.5, 300)])
+    @pytest.mark.parametrize("d, samples", [(0.2, 10000), (0.5, 300)])
     def test_real_pool_gives_in_process_bytes(self, tmp_path, monkeypatch, d, samples):
         # a ProcessPoolExecutor sweep that the rule chooses, against the same
         # sweep in process, in both output formats

@@ -411,10 +411,15 @@ key_starts = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 8))
 def test_batch_keying_is_seed_sequence_keying(seed, start, n):
     # a numpy change to SeedSequence or to PCG64 seeding fails here
     mask = 2**64 - 1
-    for i, (state, inc) in zip(range(start, start + n), uwit.states._pcg64_states(seed, start, start + n)):
-        expected = np.random.default_rng(np.random.SeedSequence([seed & mask, i & mask])).bit_generator.state
-        assert expected["state"] == {"state": state, "inc": inc}
-        assert (expected["has_uint32"], expected["uinteger"]) == (0, 0)
+    for i, words in zip(range(start, start + n), uwit.states._seed_words(seed, start, start + n)):
+        seed_sequence = np.random.SeedSequence([seed & mask, i & mask])
+        expected = seed_sequence.generate_state(4, np.uint64)
+        assert words.dtype == expected.dtype and words.tolist() == expected.tolist()
+        rng = np.random.Generator(np.random.PCG64(uwit.states._SeedWords(words)))
+        # what the adapter hands PCG64 is what SeedSequence hands it
+        handed = rng.bit_generator.seed_seq.generate_state(4, np.uint64)
+        assert handed.dtype == expected.dtype and handed.tolist() == expected.tolist()
+        assert rng.bit_generator.state == np.random.default_rng(seed_sequence).bit_generator.state
 
 
 @BOUNDED

@@ -103,6 +103,26 @@ class TestDensityMatrix:
         with pytest.raises(DimensionMismatchError, match="positive"):
             random_pure_state(dims, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("dims", [(2, 2.0), (2.5, 2), ("2", 2), (2,), 4, None, (-2, -2)])
+    @pytest.mark.parametrize(
+        "construct",
+        [
+            lambda dims: DensityMatrix(np.eye(4, dtype=complex) / 4, dims),
+            lambda dims: PureState(np.eye(4)[0], dims),
+            maximally_mixed,
+            lambda dims: random_density_matrix(dims, np.random.default_rng(0)),
+            lambda dims: random_pure_state(dims, np.random.default_rng(0)),
+            lambda dims: random_product_state(dims, np.random.default_rng(0)),
+            lambda dims: random_separable_state(2, np.random.default_rng(0), dims),
+        ],
+        ids=["DensityMatrix", "PureState", "maximally_mixed", "random_density_matrix", "random_pure_state", "random_product_state", "random_separable_state"],
+    )
+    def test_every_constructor_checks_dims_first(self, construct, dims):
+        """Malformed dims are refused before any constructor uses them, not
+        by a bare TypeError, IndexError or numpy's ValueError."""
+        with pytest.raises(DimensionMismatchError, match="positive"):
+            construct(dims)
+
     def test_integer_dims_of_any_int_type(self):
         for dims in ((2, 2), [2, 2], (np.int64(2), np.int32(2))):
             rho = DensityMatrix(np.eye(4, dtype=complex) / 4, dims)
