@@ -282,39 +282,60 @@ def schmidt_entropy_bound(c: float, q: float) -> float:
     return (1.0 - k * c**q - r**q) / (q - 1.0)
 
 
+def _bell_row(rho: DensityMatrix, *extra) -> np.ndarray:
+    """bell_populations(rho) followed by ``extra``, as one fresh array."""
+    return np.maximum((*_bell_columns(*rho._pauli_values[4:], rho._pauli_values[0]), *extra), 0.0)
+
+
 def bell_populations(rho: DensityMatrix) -> np.ndarray:
     """The four Bell-state populations <BS_i|rho|BS_i> of a two-qubit state,
     from its trace and correlators, as a fresh array. ``rho`` is a validated
     state, so negative roundoff is clipped to 0 rather than re-checked."""
-    return np.maximum(_bell_columns(*rho._pauli_values[4:], rho._pauli_values[0]), 0.0)
+    return _bell_row(rho)
 
 
-def _bell_tsallis_detects(columns, q: float):
-    """The one Bell-entropy kernel: for four nonnegative Bell population
-    columns (arrays, or the rows of a (4, ...) array: a numpy scalar's power
-    rounds differently), whether the Tsallis entropy (Shannon at q = 1) is
-    below the Schmidt bound for c = 1/2, and the sum of p^q (p ln p at
-    q = 1), added as np.sum adds a length-4 axis. For q != 1 the verdict
-    compares sum p^q with 2^(1-q), avoiding the 1 - sum(p^q) cancellation
-    at large q; the guard is relative as detections reach 2^(1-q) scales.
-    2^(1-q) is 2 * 0.5^q by the terms' array power, the sum of (1/2, 1/2, 0,
-    0), so the two stay equal where both are subnormal (q above 1022)."""
-    c0, c1, c2, c3 = columns
-    term = _shannon_terms if q == 1.0 else (lambda c: c**q)
-    total = ((term(c0) + term(c1)) + term(c2)) + term(c3)
-    bound = 2.0 * np.power(0.5, q)
-    if q < 1.0:
-        return total < bound * (1.0 - DETECTION_TOL), total
+def _bell_terms(p: np.ndarray, q: float) -> np.ndarray:
+    """p^q (p ln p at q = 1) of an array of nonnegative populations by
+    numpy's array power, q a Python float: the one step of the Bell-entropy
+    kernel whose bits depend on numpy (a Python or numpy scalar's power, or
+    an array exponent, rounds differently)."""
+    return _shannon_terms(p) if q == 1.0 else p**q
+
+
+def _bell_tsallis_decision(terms, half, q: float):
+    """The one Bell-entropy decision, on Python floats or on arrays: from the
+    four population terms of _bell_terms and 0.5^q by the same power,
+    whether the Tsallis entropy (Shannon at q = 1) is below the Schmidt
+    bound for c = 1/2, and the term sum, added as np.sum adds a length-4
+    axis. For q != 1 the verdict compares sum p^q with 2^(1-q), avoiding the
+    1 - sum(p^q) cancellation at large q; the guard is relative as
+    detections reach 2^(1-q) scales. 2^(1-q) is 2 * 0.5^q, the sum of (1/2,
+    1/2, 0, 0), so the two stay equal where both are subnormal (q above
+    1022). Float + and comparisons round as numpy's do."""
+    t0, t1, t2, t3 = terms
+    total = ((t0 + t1) + t2) + t3
     if q == 1.0:  # the entropy -total below the bound
         return total > DETECTION_TOL - schmidt_entropy_bound(BELL_SCHMIDT_SQ, 1.0), total
+    bound = 2.0 * half
+    if q < 1.0:
+        return total < bound * (1.0 - DETECTION_TOL), total
     return total > bound * (1.0 + DETECTION_TOL), total
 
 
+def _bell_tsallis_detects(columns, q: float):
+    """The Bell-entropy decision on four nonnegative population columns
+    (arrays, or the rows of a (4, ...) array), as the geometry scan takes it."""
+    return _bell_tsallis_decision([_bell_terms(c, q) for c in columns], _bell_terms(np.array(0.5), q), q)
+
+
 def _bell_tsallis_verdict(rho: DensityMatrix, q: float, criterion_id: str) -> CriterionVerdict:
+    """One state's Bell-entropy verdict: one array power of the row of its
+    four clamped populations and 0.5, then the decision on the row's floats."""
     threshold = schmidt_entropy_bound(BELL_SCHMIDT_SQ, q)  # checks q
-    detected, total = _bell_tsallis_detects(bell_populations(rho)[:, None], q)
-    value = -total[0] if q == 1.0 else (1.0 - total[0]) / (q - 1.0)
-    return CriterionVerdict(float(value), threshold, bool(detected[0]), criterion_id)
+    *terms, half = _bell_terms(_bell_row(rho, 0.5), q).tolist()
+    detected, total = _bell_tsallis_decision(terms, half, q)
+    value = -total if q == 1.0 else (1.0 - total) / (q - 1.0)
+    return CriterionVerdict(value, threshold, detected, criterion_id)
 
 
 def bell_variance_criterion(rho: DensityMatrix) -> CriterionVerdict:
@@ -328,8 +349,11 @@ def bell_variance_criterion(rho: DensityMatrix) -> CriterionVerdict:
 def bell_tsallis_criterion(rho: DensityMatrix, q: float) -> CriterionVerdict:
     """Tsallis entropy of the Bell-population distribution against the
     Schmidt bound for c = 1/2; strengthens with growing q and reproduces the
-    Bell-variance test at q = 2. A q above BELL_Q_MAX is refused."""
-    return _bell_tsallis_verdict(rho, _check_bell_q(q), f"bell_tsallis_q{q:g}")
+    Bell-variance test at q = 2. A q above BELL_Q_MAX is refused. The id
+    names q by its shortest round-trip form without a trailing ".0", so
+    distinct q get distinct ids (bell_tsallis_q2, bell_tsallis_q1.0000001)."""
+    name = repr(float(_check_bell_q(q))).removesuffix(".0")
+    return _bell_tsallis_verdict(rho, q, "bell_tsallis_q" + name)
 
 
 def _linear_witness_verdicts(rho: DensityMatrix, q_values) -> list[CriterionVerdict]:

@@ -189,6 +189,28 @@ class TestEvaluate:
         report = json.loads(capsys.readouterr().out)
         assert [c["id"] for c in report["criteria"]] == ["bell_tsallis_q4", "bell_tsallis_q15"]
 
+    def test_bell_tsallis_ids_name_q_exactly(self, tmp_path, capsys):
+        """Each Bell-Tsallis id names its q by the shortest round-trip form:
+        on phi+ the three q below got one id, bell_tsallis_q1, while their
+        verdicts differ (the last is not detected). The q of the pinned and
+        the benchmark reports keep their ids."""
+        state = tmp_path / "phi_plus.json"
+        run_cli("gen-state", "bell", "1", "--out", state)
+        capsys.readouterr()
+        def q_flags(q_values):
+            return [a for q in q_values for a in ("--q", q)]
+
+        close = ("1", "1.0000001", "1.0000000000001")
+        assert run_cli("evaluate", state, "--criteria", "bell_tsallis", *q_flags(close), "--format", "csv") == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:-1]]
+        assert [row[0] for row in rows] == [f"bell_tsallis_q{q}" for q in close]
+        assert [row[3] for row in rows] == ["1", "1", "0"]
+        pinned = ("0.0625", "0.5", "1", "2", "3", "4", "15", "200", "999.5", "1000")
+        assert run_cli("evaluate", state, "--criteria", "bell_tsallis", *q_flags(pinned)) == 0
+        ids = [c["id"] for c in json.loads(capsys.readouterr().out)["criteria"]]
+        assert ids == [f"bell_tsallis_q{float(q):g}" for q in pinned] == [f"bell_tsallis_q{q}" for q in pinned]
+        assert criteria.bell_tsallis_criterion(states.bell_states()[0].density(), 2).criterion_id == "bell_tsallis_q2"
+
     def test_unknown_criterion_exits_2(self, tmp_path):
         state = tmp_path / "singlet.json"
         run_cli("gen-state", "bell", "4", "--out", state)

@@ -18,7 +18,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from uwit.criteria import (
+    DETECTION_TOL,
     WITNESS_TOL,
+    _bell_tsallis_decision,
     _bell_tsallis_detects,
     _entropy,
     _witness_detects,
@@ -191,7 +193,7 @@ def test_criteria_match_the_per_observable_oracles(family, seed):
         assert verdict.detected == nonlinear_witness_value(rho).detected == _witness_detects((variances - 4.0) / 2.0)
 
 
-EDGE_Q = (0.5, 2.0, 4.0, 15.0)
+EDGE_Q = (0.5, 1.0, 2.0, 4.0, 15.0, 200.0)
 
 
 def tsallis_edge_states() -> list[DensityMatrix]:
@@ -221,19 +223,51 @@ def tsallis_edge_states() -> list[DensityMatrix]:
     return edge
 
 
+EDGE_STATES = tsallis_edge_states()
+
+
 @BOUNDED
-@given(stacks)
-@example(tsallis_edge_states())
-def test_bell_verdicts_equal_batched_decision(states):
+@given(stacks, st.floats(0.0, 1000.0, exclude_min=True))
+@example(EDGE_STATES, 0.0625)
+@example(EDGE_STATES, 0.5)
+@example(EDGE_STATES, 1.0)
+@example(EDGE_STATES, float(np.nextafter(1.0, 0.0)))
+@example(EDGE_STATES, float(np.nextafter(1.0, 2.0)))
+@example(EDGE_STATES, 1000.0)
+def test_bell_verdicts_equal_batched_decision(states, drawn_q):
+    """Every scalar Bell verdict, decided on the floats of one array power,
+    has the detection and the value of the array kernel that the geometry
+    scan runs, bit for bit, at the fixed q and at a q drawn from (0, 1000]."""
     populations = np.array([bell_populations(s) for s in states]).T
-    for q in (*Q_VALUES, *EDGE_Q):
+    for q in dict.fromkeys((*Q_VALUES, *EDGE_Q, drawn_q)):
         verdicts = [bell_tsallis_criterion(s, q) for s in states]
-        assert [v.detected for v in verdicts] == _bell_tsallis_detects(populations, q)[0].tolist()
+        detected, total = _bell_tsallis_detects(populations, q)
+        assert [v.detected for v in verdicts] == detected.tolist()
+        assert [v.value for v in verdicts] == (-total if q == 1.0 else (1.0 - total) / (q - 1.0)).tolist()
         # the row-form entropy is the independent oracle of the values
         assert [v.value for v in verdicts] == [float(_entropy(p, q)) for p in populations.T]
     verdicts = [bell_variance_criterion(s) for s in states]
     assert [v.detected for v in verdicts] == _bell_tsallis_detects(populations, 2.0)[0].tolist()
     assert [v.value for v in verdicts] == [float(_entropy(p, 2.0)) for p in populations.T]
+
+
+@BOUNDED
+@given(st.floats(0.0, 1000.0, exclude_min=True).filter(lambda q: q != 1.0))
+@example(0.0625)
+@example(84.01534358238483)  # where 2 ** (1 - q) is one ulp off 2 * 0.5^q
+@example(1000.0)
+def test_bell_decision_flips_at_twice_the_array_power_of_one_half(q):
+    """For q != 1 the decision's bound is 2 * 0.5^q, with 0.5^q by numpy's
+    array power as the terms are: the term sum of the boundary populations
+    (1/2, 1/2, 0, 0). A term sum at the guarded bound is not detected, and
+    the next float beyond it is, on floats and on arrays alike."""
+    half = (np.array([0.5]) ** q)[0]
+    sign = 1.0 if q > 1.0 else -1.0
+    edge = 2.0 * half * (1.0 + sign * DETECTION_TOL)
+    for total, detected in ((edge, False), (np.nextafter(edge, sign * np.inf), True)):
+        assert _bell_tsallis_decision([float(total), 0.0, 0.0, 0.0], float(half), q)[0] is detected
+        columns = [np.array([total]), *np.zeros((3, 1))]
+        assert _bell_tsallis_decision(columns, half, q)[0].tolist() == [detected]
 
 
 @BOUNDED
