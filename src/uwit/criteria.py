@@ -208,17 +208,24 @@ def measurement_distribution(rho: DensityMatrix, m: Observable) -> np.ndarray:
     return np.clip(_traces(rho.matrix, np.array([x for _, x in m.spectral])), 0.0, None)
 
 
-def _shannon_terms(probs):
-    """p ln p for each entry p of a nonnegative array, with 0 ln 0 = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(probs > 0.0, probs * np.log(probs), 0.0)
+def _terms(p, q: float):
+    """p ln p at q = 1 (0 ln 0 = 0), else p^q, of a nonnegative array by numpy's
+    array power, q a Python float: the one entropy step whose bits depend on
+    numpy (a Python or numpy scalar's power, or an array exponent, rounds differently)."""
+    if q == 1.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(p > 0.0, p * np.log(p), 0.0)
+    return p**q
+
+
+def _entropy_from_sum(total, q: float):
+    """Tsallis entropy from its term sum, floats or arrays: -total at q = 1, else (1 - total)/(q - 1)."""
+    return -total if q == 1.0 else (1.0 - total) / (q - 1.0)
 
 
 def _entropy(probs: np.ndarray, q: float):
     """Tsallis entropy of nonnegative distributions over the last axis, Shannon at q = 1."""
-    if q == 1.0:
-        return -_shannon_terms(probs).sum(axis=-1)
-    return (1.0 - (probs**q).sum(axis=-1)) / (q - 1.0)
+    return _entropy_from_sum(_terms(probs, q).sum(axis=-1), q)
 
 
 def shannon_entropy(p) -> float:
@@ -240,9 +247,10 @@ def maassen_bound(m: Observable, n: Observable) -> float:
             raise DegenerateObservableError(f"observable {name} has a degenerate spectrum")
     if m.dim != n.dim:
         raise DimensionMismatchError(f"dimension mismatch: {m.dim} vs {n.dim}")
-    # Tr(X_i Y_j) = |<m_i|n_j>|^2 for the rank-one projectors X_i of m and Y_j of n
+    # Tr(X_i Y_j) = |<m_i|n_j>|^2 for the rank-one projectors X_i of m and Y_j of n;
+    # each row sums to Tr X_i = 1, so the largest is at least 1/d
     xs, ys = (np.array([x for _, x in obs.spectral]) for obs in (m, n))
-    overlap_sq = min(max(float(_traces(xs, ys).max()), 1e-300), 1.0)
+    overlap_sq = min(float(_traces(xs, ys).max()), 1.0)
     return -math.log(overlap_sq)
 
 
@@ -271,15 +279,16 @@ def schmidt_entropy_bound(c: float, q: float) -> float:
     Shannon form at q = 1."""
     if not 0.0 < c < 1.0:
         raise InvalidParameterError(f"c must lie in (0, 1), got {c}")
-    _check_q(q)
+    return _schmidt_bound(c, _check_q(q))
+
+
+def _schmidt_bound(c: float, q: float) -> float:
+    """schmidt_entropy_bound unchecked, its term sum in closed form on Python floats."""
     k = math.floor(1.0 / c)
     r = max(1.0 - k * c, 0.0)
     if q == 1.0:
-        bound = -k * c * math.log(c)
-        if r > 0.0:
-            bound -= r * math.log(r)
-        return bound
-    return (1.0 - k * c**q - r**q) / (q - 1.0)
+        return _entropy_from_sum(k * c * math.log(c) + (r * math.log(r) if r > 0.0 else 0.0), q)
+    return _entropy_from_sum(k * c**q + r**q, q)
 
 
 def _bell_row(rho: DensityMatrix, *extra) -> np.ndarray:
@@ -294,29 +303,19 @@ def bell_populations(rho: DensityMatrix) -> np.ndarray:
     return _bell_row(rho)
 
 
-def _bell_terms(p: np.ndarray, q: float) -> np.ndarray:
-    """p^q (p ln p at q = 1) of an array of nonnegative populations by
-    numpy's array power, q a Python float: the one step of the Bell-entropy
-    kernel whose bits depend on numpy (a Python or numpy scalar's power, or
-    an array exponent, rounds differently)."""
-    return _shannon_terms(p) if q == 1.0 else p**q
-
-
 def _bell_tsallis_decision(terms, half, q: float):
-    """The one Bell-entropy decision, on Python floats or on arrays: from the
-    four population terms of _bell_terms and 0.5^q by the same power,
-    whether the Tsallis entropy (Shannon at q = 1) is below the Schmidt
-    bound for c = 1/2, and the term sum, added as np.sum adds a length-4
-    axis. For q != 1 the verdict compares sum p^q with 2^(1-q), avoiding the
-    1 - sum(p^q) cancellation at large q; the guard is relative as
-    detections reach 2^(1-q) scales. 2^(1-q) is 2 * 0.5^q, the sum of (1/2,
-    1/2, 0, 0), so the two stay equal where both are subnormal (q above
-    1022). Float + and comparisons round as numpy's do."""
+    """The one Bell-entropy decision, on Python floats or on arrays: whether
+    the four population terms of _terms, added as np.sum adds a length-4
+    axis, give a Tsallis entropy (Shannon at q = 1) below the Schmidt bound
+    for c = 1/2, and their sum. The bound is 2 * half, the term sum of (1/2,
+    1/2, 0, 0) by the same power, so no 1 - sum(p^q) cancels at large q and
+    both stay equal where subnormal (q above 1022). The guard is absolute at
+    q = 1, relative elsewhere. Float + and comparisons round as numpy's do."""
     t0, t1, t2, t3 = terms
     total = ((t0 + t1) + t2) + t3
-    if q == 1.0:  # the entropy -total below the bound
-        return total > DETECTION_TOL - schmidt_entropy_bound(BELL_SCHMIDT_SQ, 1.0), total
     bound = 2.0 * half
+    if q == 1.0:  # sum p ln p above 2 * 0.5 ln 0.5 = -ln 2
+        return total > bound + DETECTION_TOL, total
     if q < 1.0:
         return total < bound * (1.0 - DETECTION_TOL), total
     return total > bound * (1.0 + DETECTION_TOL), total
@@ -325,17 +324,15 @@ def _bell_tsallis_decision(terms, half, q: float):
 def _bell_tsallis_detects(columns, q: float):
     """The Bell-entropy decision on four nonnegative population columns
     (arrays, or the rows of a (4, ...) array), as the geometry scan takes it."""
-    return _bell_tsallis_decision([_bell_terms(c, q) for c in columns], _bell_terms(np.array(0.5), q), q)
+    return _bell_tsallis_decision([_terms(c, q) for c in columns], _terms(np.array(0.5), q), q)
 
 
 def _bell_tsallis_verdict(rho: DensityMatrix, q: float, criterion_id: str) -> CriterionVerdict:
-    """One state's Bell-entropy verdict: one array power of the row of its
-    four clamped populations and 0.5, then the decision on the row's floats."""
-    threshold = schmidt_entropy_bound(BELL_SCHMIDT_SQ, q)  # checks q
-    *terms, half = _bell_terms(_bell_row(rho, 0.5), q).tolist()
+    """One state's Bell-entropy verdict for a checked q: one array power of the
+    row of its four clamped populations and 0.5, then the decision on its floats."""
+    *terms, half = _terms(_bell_row(rho, 0.5), q).tolist()
     detected, total = _bell_tsallis_decision(terms, half, q)
-    value = -total if q == 1.0 else (1.0 - total) / (q - 1.0)
-    return CriterionVerdict(value, threshold, detected, criterion_id)
+    return CriterionVerdict(_entropy_from_sum(total, q), _schmidt_bound(BELL_SCHMIDT_SQ, q), detected, criterion_id)
 
 
 def bell_variance_criterion(rho: DensityMatrix) -> CriterionVerdict:

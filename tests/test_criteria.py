@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import uwit.criteria
+
 from uwit.errors import (
     DegenerateObservableError,
     DimensionMismatchError,
@@ -544,6 +546,22 @@ class TestSchmidtEntropyBound:
             assert schmidt_entropy_bound(c, 1 + 1e-6) == pytest.approx(at_one, abs=1e-4)
             assert schmidt_entropy_bound(c, 1 - 1e-6) == pytest.approx(at_one, abs=1e-4)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.floats(1e-3, 1.0, exclude_max=True),
+        st.one_of(st.just(1.0), st.floats(0.0, 1000.0, exclude_min=True).filter(lambda q: abs(q - 1.0) >= 1e-3)),
+    )
+    def test_bound_is_the_entropy_of_the_extremal_distribution(self, c, q):
+        """The closed form on Python floats equals tsallis_entropy of
+        floor(1/c) entries c and one r, to 1e-9 relative. For q != 1 both
+        take 1 - sum, whose roundoff near sum = 1 (c near 1) is an ulp of
+        the sum, so the difference may also reach 4 eps / |q - 1|."""
+        k = int(1.0 / c)
+        r = max(1.0 - k * c, 0.0)
+        oracle = tsallis_entropy([c] * k + [r], q)
+        floor = 0.0 if q == 1.0 else 4.0 * np.finfo(float).eps / abs(q - 1.0)
+        assert abs(schmidt_entropy_bound(c, q) - oracle) <= 1e-9 * abs(oracle) + floor
+
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameterError):
             schmidt_entropy_bound(0.0, 2.0)
@@ -588,6 +606,21 @@ class TestBellCriteria:
         verdict = bell_tsallis_criterion(rho, 1000.0)
         assert verdict.detected and verdict.criterion_id == "bell_tsallis_q1000"
         assert not bell_tsallis_criterion(ZERO_ZERO, 1000.0).detected
+
+    def test_q_is_checked_once_per_verdict(self, monkeypatch):
+        """bell_tsallis_criterion checks its q once, and the Bell-variance
+        test, whose q is 2, not at all: the threshold is not re-checked."""
+        calls = []
+        for name in ("_check_q", "_check_bell_q"):
+            check = getattr(uwit.criteria, name)
+            monkeypatch.setattr(uwit.criteria, name, lambda q, check=check, name=name: calls.append(name) or check(q))
+        for q in (0.5, 1.0, 2.0, 1000.0):
+            calls.clear()
+            bell_tsallis_criterion(SINGLET, q)
+            assert calls == ["_check_bell_q"]
+        calls.clear()
+        bell_variance_criterion(SINGLET)
+        assert calls == []
 
     def test_q2_matches_variance_criterion(self):
         rng = np.random.default_rng(40)

@@ -4,14 +4,24 @@ refuse exactly what a norm oracle does, for exactly Hermitian matrices,
 matrices just inside and just outside the bound, non-finite entries, and
 stacks that mix them."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
+from uwit.criteria import Observable
 from uwit.errors import NotHermitianError
-from uwit.linalg import HERMITICITY_TOL, _adjoint_difference, _check_hermitian, hermiticity_defect
+from uwit.linalg import (
+    HERMITICITY_TOL,
+    _adjoint_difference,
+    _check_hermitian,
+    expectation,
+    hermitian_eigen,
+    hermiticity_defect,
+)
 from uwit.states import density_matrix_violations
 
 BOUNDED = settings(derandomize=True, max_examples=300, deadline=None)
@@ -89,14 +99,14 @@ def stacks(draw, relative=True):
 @given(stacks())
 def test_check_hermitian_agrees_with_the_norm_oracle(m):
     assume(not near_tie(m))
-    with np.errstate(invalid="ignore"):  # inf - inf, as numpy subtracts it
-        exact = not _adjoint_difference(m).any()
-        if oracle(m):
+    # no errstate: a non-finite entry fails before any inf - inf is subtracted
+    exact = np.isfinite(m).all() and not _adjoint_difference(m).any()
+    if oracle(m):
+        _check_hermitian(m, "m")
+    else:
+        with pytest.raises(NotHermitianError):
             _check_hermitian(m, "m")
-        else:
-            with pytest.raises(NotHermitianError):
-                _check_hermitian(m, "m")
-        defects = np.atleast_1d(hermiticity_defect(m))
+    defects = np.atleast_1d(hermiticity_defect(m))
     # the short cut is taken only where every defect is 0
     assert not exact or (defects == 0.0).all()
     assert exact == ((m == m.conj().swapaxes(-2, -1)).all() and np.isfinite(m).all())
@@ -115,3 +125,22 @@ def test_density_matrix_violations_agree_with_the_norm_oracle(m):
             assert violations == ["finite_entries"]
         else:
             assert ("hermitian" in violations) == (not oracle(a, relative=False))
+
+
+def test_mirrored_infinities_are_refused_with_no_warning():
+    """Observable, expectation and hermitian_eigen refuse [[0, inf], [inf, 0]]
+    before subtracting its adjoint, so numpy warns nothing (inf - inf)."""
+    m = np.array([[0.0, np.inf], [np.inf, 0.0]])
+    for call in (lambda: Observable(m), lambda: expectation(np.eye(2) / 2, m), lambda: hermitian_eigen(m)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitianError):
+                call()
+
+
+def test_overflowing_difference_is_refused():
+    """Finite entries whose adjoint difference overflows give an infinite
+    defect against an infinite bound, which fails."""
+    m = np.array([[0.0, 1e308], [-1e308, 0.0]])
+    with np.errstate(over="ignore"), pytest.raises(NotHermitianError):  # 1e308 - (-1e308), and its square
+        _check_hermitian(m, "m")

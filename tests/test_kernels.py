@@ -252,18 +252,24 @@ def test_bell_verdicts_equal_batched_decision(states, drawn_q):
 
 
 @BOUNDED
-@given(st.floats(0.0, 1000.0, exclude_min=True).filter(lambda q: q != 1.0))
+@given(st.floats(0.0, 1000.0, exclude_min=True))
 @example(0.0625)
+@example(1.0)
 @example(84.01534358238483)  # where 2 ** (1 - q) is one ulp off 2 * 0.5^q
 @example(1000.0)
 def test_bell_decision_flips_at_twice_the_array_power_of_one_half(q):
-    """For q != 1 the decision's bound is 2 * 0.5^q, with 0.5^q by numpy's
-    array power as the terms are: the term sum of the boundary populations
-    (1/2, 1/2, 0, 0). A term sum at the guarded bound is not detected, and
-    the next float beyond it is, on floats and on arrays alike."""
-    half = (np.array([0.5]) ** q)[0]
-    sign = 1.0 if q > 1.0 else -1.0
-    edge = 2.0 * half * (1.0 + sign * DETECTION_TOL)
+    """The decision's bound is 2 * half, the term sum of the boundary
+    populations (1/2, 1/2, 0, 0), with half = 0.5^q by numpy's array power
+    as the terms are, or 0.5 ln 0.5 at q = 1. A term sum at the guarded
+    bound (relative for q != 1, absolute at q = 1) is not detected, and the
+    next float beyond it is, on floats and on arrays alike."""
+    if q == 1.0:
+        half = (np.array([0.5]) * np.log(np.array([0.5])))[0]
+        sign, edge = 1.0, 2.0 * half + DETECTION_TOL
+    else:
+        half = (np.array([0.5]) ** q)[0]
+        sign = 1.0 if q > 1.0 else -1.0
+        edge = 2.0 * half * (1.0 + sign * DETECTION_TOL)
     for total, detected in ((edge, False), (np.nextafter(edge, sign * np.inf), True)):
         assert _bell_tsallis_decision([float(total), 0.0, 0.0, 0.0], float(half), q)[0] is detected
         columns = [np.array([total]), *np.zeros((3, 1))]
