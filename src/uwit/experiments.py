@@ -38,16 +38,13 @@ from .criteria import (
 )
 
 _BLOCK = 256
-# A sweep runs in process unless the time a pool would save exceeds the
-# pool's start-up (forking, sending the tasks, shutting down). Inside the
+# A sweep at d > 0 runs in process unless the time a pool would save exceeds
+# the pool's start-up (forking, sending the tasks, shutting down). Inside the
 # separable ball no first candidate is rejected, so the in-process time is
-# about _FLAG_S per sample for the flags of d = 0, whose noise is the
-# diagonal I/4, plus _DRAW_S at d > 0 for the noise draw (about 7 us) and
-# the flags' extra eigensolver work on drawn noise (about 2.5 us). With 2
-# workers the pool pays from about 8,000 samples at d > 0 and 40,000 at
-# d = 0 (2 cores, default 21-point grid).
-_DRAW_S = 10e-6
-_FLAG_S = 2.5e-6
+# about _SAMPLE_S per sample: the noise draw (about 7 us) and the flags on
+# drawn noise (about 5 us). With 2 workers the pool pays from about 8,000
+# samples (2 cores, default 21-point grid).
+_SAMPLE_S = 12.5e-6
 _POOL_START_S = 0.05
 _SEPARABLE_RADIUS = 1.0 / np.sqrt(12.0)
 # closed-form sweep decisions this close to a threshold are re-decided per p
@@ -138,7 +135,7 @@ def _sweep_flags(sigma: np.ndarray, p_grid) -> tuple[np.ndarray, np.ndarray, np.
     linear = -2.0 * p + q * linear_sigma[:, None]
     nonlinear = linear - q**2 * half_means_sq[:, None]
 
-    spectrum = hermitian_eigen(partial_transpose(sigma, (2, 2)))
+    spectrum = hermitian_eigen(partial_transpose(sigma, (2, 2)), check=False)  # sigma is exactly Hermitian
     s, u = spectrum.eigenvalues, spectrum.eigenvectors
     overlap = np.abs(u[:, 0, :] + u[:, 3, :]) ** 2 / 2.0  # |<u_i|phi+>|^2
     shift = p / 2.0 - NPT_THRESHOLD
@@ -200,12 +197,15 @@ def evaluate_detection_flags(config: NoiseBallConfig, p: float, p_index: int):
 
 def sweep_workers(config: NoiseBallConfig, workers: int) -> int:
     """How many processes the sweep of ``config`` runs on when ``workers`` is
-    its cap: 1 means in process. The pool forks all its workers up front, so
-    it gets at most one per block of samples. Inside the separable ball it
-    runs only when the time it saves, the projected in-process time less
-    that time shared out among the workers, exceeds its start-up."""
+    its cap: 1 means in process. A d = 0 sweep is one matrix and never pools.
+    The pool forks all its workers up front, so it gets at most one per
+    block of samples. Inside the separable ball it runs only when the time
+    it saves, the projected in-process time less that time shared out among
+    the workers, exceeds its start-up."""
+    if config.d == 0.0:
+        return 1
     workers = max(1, min(workers, -(-config.samples // _BLOCK)))
-    saved = config.samples * (_FLAG_S + (_DRAW_S if config.d > 0.0 else 0.0)) * (1.0 - 1.0 / workers)
+    saved = config.samples * _SAMPLE_S * (1.0 - 1.0 / workers)
     return 1 if config.d <= _SEPARABLE_RADIUS and saved <= _POOL_START_S else workers
 
 
@@ -225,7 +225,9 @@ def run_detection_sweep(
     the linear witness, the nonlinear witness and the partial transpose.
     One pool task is one block of sample indices over the whole grid. Since
     the key depends on neither the block nor the grid, fixed config means
-    bit-identical rows for any ``workers`` and any block size.
+    bit-identical rows for any ``workers`` and any block size. At d = 0
+    every sigma_i is I/4 bit for bit, so one sample decides the grid and its
+    counts are multiplied by ``config.samples``.
 
     The detection inclusion chain (witness => lur => npt) and the soundness
     of both criteria on PPT samples are asserted sample by sample; a
@@ -239,19 +241,21 @@ def run_detection_sweep(
     if not p_grid:
         raise InvalidParameterError("the p grid must hold at least one singlet weight")
 
-    tasks = [
-        (config.seed, config.d, tuple(p_grid), start, min(start + _BLOCK, config.samples))
-        for start in range(0, config.samples, _BLOCK)
-    ]
-
-    workers = sweep_workers(config, workers)
-    if workers == 1:
-        results = map(_block_counts, tasks)
+    if config.d == 0.0:
+        # Python ints, so that any sample count multiplies without overflow
+        counts = _block_counts((config.seed, config.d, tuple(p_grid), 0, 1)).astype(object) * config.samples
     else:
-        with _process_pool(workers) as pool:
-            results = list(pool.map(_block_counts, tasks))
-
-    counts = sum(results, np.zeros((len(p_grid), 6), dtype=np.int64))
+        tasks = [
+            (config.seed, config.d, tuple(p_grid), start, min(start + _BLOCK, config.samples))
+            for start in range(0, config.samples, _BLOCK)
+        ]
+        workers = sweep_workers(config, workers)
+        if workers == 1:
+            results = map(_block_counts, tasks)
+        else:
+            with _process_pool(workers) as pool:
+                results = list(pool.map(_block_counts, tasks))
+        counts = sum(results, np.zeros((len(p_grid), 6), dtype=np.int64))
     chain_violations = int(counts[:, 3:5].sum())
     ppt_detected = int(counts[:, 5].sum())
     if chain_violations or ppt_detected:

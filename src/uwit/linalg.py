@@ -115,25 +115,28 @@ def _traces(r: np.ndarray, o: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
-def expectation(rho, m):
+def expectation(rho, m, *, check: bool = True):
     """Tr(rho M), real part, for Hermitian rho and M, by _traces; either may
     be a (..., n, n) stack, and a pair's value does not depend on the stacks
     it sits in.
 
     Each matrix must be Hermitian within HERMITICITY_TOL * max(1, ||M||),
     which for a density matrix is HERMITICITY_TOL itself; a non-finite
-    entry fails too.
+    entry fails too. ``check=False`` skips that test, and with it the test
+    that the matrices are square, for a caller whose matrices were validated
+    or are exactly Hermitian by construction.
     """
     r = np.asarray(rho, dtype=complex)
     o = np.asarray(m, dtype=complex)
     if r.shape[-2:] != o.shape[-2:]:
         raise DimensionMismatchError(f"shape mismatch {r.shape} vs {o.shape}")
-    _check_hermitian(r, "rho")
-    _check_hermitian(o, "m")
+    if check:
+        _check_hermitian(r, "rho")
+        _check_hermitian(o, "m")
     return _traces(r, o)
 
 
-def hermitian_eigen(h) -> Spectrum:
+def hermitian_eigen(h, *, check: bool = True) -> Spectrum:
     """Eigendecomposition of a complex Hermitian matrix, or of each matrix in
     a (..., n, n) stack, by one call of LAPACK (numpy's ``eigh``): the one
     eigensolver every uwit decision uses. A slice's result does not depend
@@ -141,10 +144,12 @@ def hermitian_eigen(h) -> Spectrum:
 
     Raises DimensionMismatchError unless the last two axes are square,
     NotHermitianError if any matrix fails expectation's Hermiticity bound,
-    ConvergenceError if LAPACK does not converge.
+    ConvergenceError if LAPACK does not converge. ``check=False`` skips
+    the first two tests, as in expectation.
     """
     a = np.asarray(h, dtype=complex)
-    _check_hermitian(a, "matrix")
+    if check:
+        _check_hermitian(a, "matrix")
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

@@ -86,10 +86,11 @@ class DensityMatrix:
     def _pauli_values(self) -> tuple[float, ...]:
         """Tr(rho P) for the seven P of _PAULI_BASIS, as floats, from one
         expectation call made at most once per state. Every two-qubit
-        criterion reads its values from these."""
+        criterion reads its values from these. The kept matrix and the basis
+        are exactly Hermitian, so the call does not check them again."""
         if self.dims != (2, 2):
             raise DimensionMismatchError(f"the two-qubit criteria need dims (2, 2), got {self.dims}")
-        return tuple(expectation(self.matrix, _PAULI_BASIS).tolist())
+        return tuple(expectation(self.matrix, _PAULI_BASIS, check=False).tolist())
 
 
 def _check_dims(dims) -> tuple[int, int]:
@@ -396,8 +397,10 @@ def _draw_noise_block(seed: int, d: float, start: int, stop: int) -> np.ndarray:
 def _min_pt_eigenvalues(stack: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """The least eigenvalue of the partial transpose of each matrix in a
     (..., n, n) stack: the one NPT kernel, which is_npt runs on a batch of
-    one and the sweep's per-p kernel on a stack of samples."""
-    return hermitian_eigen(partial_transpose(stack, dims)).eigenvalues[..., 0]
+    one and the sweep's per-p kernel on a stack of samples. Both pass
+    exactly Hermitian matrices, whose partial transposes are exactly
+    Hermitian too, so the eigensolver does not check them."""
+    return hermitian_eigen(partial_transpose(stack, dims), check=False).eigenvalues[..., 0]
 
 
 def is_npt(rho: DensityMatrix) -> tuple[bool, float]:

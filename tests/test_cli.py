@@ -54,9 +54,9 @@ def count_calls(monkeypatch, module, names) -> dict:
     for name in names:
         original = getattr(module, name)
 
-        def counted(*args, _name=name, _original=original):
+        def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
 
         for holder in (uwit, uwit.linalg, states, criteria, experiments):
             if getattr(holder, name, None) is original:
@@ -111,23 +111,23 @@ class TestEvaluate:
 
     def test_scalar_path_checks_each_input_once(self, tmp_path, monkeypatch, capsys):
         """One evaluate with every criterion: the state's seven Pauli values
-        make the only expectation call, which checks rho and the basis once
-        each, and is_npt checks the partial transpose. A saved state is
-        exactly Hermitian, as are the basis and the partial transpose, so
-        its validation and all three checks take no defect norm."""
+        make the only expectation call. The state's validation is the one
+        Hermiticity decision: the kept state, the basis and the partial
+        transpose that is_npt decomposes are exactly Hermitian, so neither
+        expectation nor the eigensolver checks them again. A saved state is
+        exactly Hermitian, so its validation takes no defect norm."""
         state = tmp_path / "ginibre.json"
         save_state(random_density_matrix((2, 2), np.random.default_rng(31)), state)
-        names = ("expectation", "hermiticity_defect", "_check_hermitian", "_hs_norms")
+        names = ("expectation", "_adjoint_difference", "hermiticity_defect", "_check_hermitian", "_hs_norms")
         calls = count_calls(monkeypatch, uwit.linalg, names)
         assert run_cli("evaluate", state, "--q", "2", "--q", "4", "--q", "15") == 0
         assert len(json.loads(capsys.readouterr().out)["criteria"]) == 7
-        assert calls == {"expectation": 1, "hermiticity_defect": 0, "_check_hermitian": 3, "_hs_norms": 0}, calls
+        assert calls == {"expectation": 1, "_adjoint_difference": 1, "hermiticity_defect": 0, "_check_hermitian": 0, "_hs_norms": 0}, calls
 
     def test_a_state_hermitian_only_within_the_bound_takes_the_defect_norm(self, tmp_path, monkeypatch, capsys):
         """A state file Hermitian within HERMITICITY_TOL but not exactly is
         accepted after one difference and one defect norm in its validation;
-        the kept Hermitian part is exact, so the three checks after it take
-        one difference each and no norm."""
+        the kept Hermitian part is exact, so nothing after it is checked."""
         m = np.eye(4) / 4.0
         m[0, 1] = 1e-13
         state = tmp_path / "near.json"
@@ -136,7 +136,7 @@ class TestEvaluate:
         calls = count_calls(monkeypatch, uwit.linalg, names)
         assert run_cli("evaluate", state) == 0
         assert json.loads(capsys.readouterr().out)["npt"] is False
-        assert calls == {"_adjoint_difference": 4, "hermiticity_defect": 0, "_check_hermitian": 3, "_hs_norms": 1}, calls
+        assert calls == {"_adjoint_difference": 1, "hermiticity_defect": 0, "_check_hermitian": 0, "_hs_norms": 1}, calls
 
     @pytest.mark.parametrize("q_args", [(), ("--q", "2"), ("--q", "0.5", "--q", "1", "--q", "2", "--q", "200")])
     def test_derived_values_are_computed_once(self, tmp_path, monkeypatch, capsys, q_args):

@@ -469,6 +469,8 @@ class TestEntropies:
             shannon_entropy([0.7, 0.7])
         with pytest.raises(InvalidParameterError):
             shannon_entropy([1.5, -0.5])
+        with pytest.raises(InvalidParameterError, match="empty"):
+            shannon_entropy([])
 
 
 class TestMaassenBound:
@@ -493,6 +495,10 @@ class TestMaassenBound:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateObservableError):
             maassen_bound(XX, Observable(SIGMA_Z))
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="dimension mismatch"):
+            maassen_bound(Observable(SIGMA_Z), Observable(np.diag([1.0, 2.0, 3.0])))
 
 
 class TestEntropicSum:

@@ -286,12 +286,28 @@ class TestDetectionSweep:
         assert sweep_workers(NoiseBallConfig(d=outside, samples=257), 2) == 2
         assert sweep_workers(NoiseBallConfig(d=outside, samples=256), 2) == 1
 
-    def test_no_draw_share_at_d0(self):
-        # at d = 0 nothing is drawn, so a sample costs only its flags and the
-        # pool pays from about 40,000 samples instead of about 8,000
-        assert sweep_workers(NoiseBallConfig(d=0.0, samples=10000), 2) == 1
-        assert sweep_workers(NoiseBallConfig(d=0.0, samples=39000), 2) == 1
-        assert sweep_workers(NoiseBallConfig(d=0.0, samples=41000), 2) == 2
+    def test_d0_sweep_is_one_matrix_and_never_pools(self, monkeypatch):
+        # at d = 0 every sigma_i is I/4, so one sample decides the grid, the
+        # counts are that sample's times the sample count, and no pool starts
+        grid = (0.0, 0.3, 1.0 / 3.0, 0.34, 1.0)
+        blocks = [experiments._block_counts((5, 0.0, grid, start, min(start + 256, 600))) for start in range(0, 600, 256)]
+        fractions = [(r.fraction_witness, r.fraction_lur, r.fraction_npt) for r in run_detection_sweep(NoiseBallConfig(d=0.0, seed=5, samples=600), grid)]
+        assert fractions == [tuple(c / 600 for c in row) for row in sum(blocks)[:, :3].tolist()]
+
+        def no_pool(max_workers):
+            raise AssertionError("a d = 0 sweep started a process pool")
+
+        drawn = []
+        draw = experiments._draw_noise_block
+        monkeypatch.setattr(experiments, "_process_pool", no_pool)
+        monkeypatch.setattr(experiments, "_draw_noise_block", lambda *args: drawn.append(args[2:]) or draw(*args))
+        for samples in (1, 600, 50_000, 10**20):
+            config = NoiseBallConfig(d=0.0, seed=5, samples=samples)
+            assert sweep_workers(config, 64) == 1
+            rows = run_detection_sweep(config, grid, workers=64)
+            assert [(r.fraction_witness, r.fraction_lur, r.fraction_npt) for r in rows] == fractions
+            assert all(r.samples == samples for r in rows)
+        assert drawn == [(0, 1)] * 4
         assert sweep_workers(NoiseBallConfig(d=0.2, samples=10000), 2) == 2
 
     @pytest.mark.parametrize("d, samples", [(0.2, 10000), (0.5, 300)])

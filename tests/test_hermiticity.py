@@ -2,8 +2,11 @@
 expectation and hermitian_eigen) and `density_matrix_violations` pass or
 refuse exactly what a norm oracle does, for exactly Hermitian matrices,
 matrices just inside and just outside the bound, non-finite entries, and
-stacks that mix them."""
+stacks that mix them. A further property holds that every matrix uwit
+hands to expectation or hermitian_eigen with ``check=False`` is exactly
+Hermitian."""
 
+import json
 import warnings
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
+from uwit import experiments, states
 from uwit.criteria import Observable
 from uwit.errors import NotHermitianError
 from uwit.linalg import (
@@ -22,7 +26,7 @@ from uwit.linalg import (
     hermitian_eigen,
     hermiticity_defect,
 )
-from uwit.states import density_matrix_violations
+from uwit.states import _PAULI_BASIS, _draw_noise_block, density_matrix_violations, load_state, random_density_matrix
 
 BOUNDED = settings(derandomize=True, max_examples=300, deadline=None)
 
@@ -144,3 +148,53 @@ def test_overflowing_difference_is_refused():
     m = np.array([[0.0, 1e308], [-1e308, 0.0]])
     with np.errstate(over="ignore"), pytest.raises(NotHermitianError):  # 1e308 - (-1e308), and its square
         _check_hermitian(m, "m")
+
+
+def first_arguments(call, names):
+    """The first argument of every call that ``call()`` makes to the named
+    functions of uwit.states and uwit.experiments, in call order."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (states, experiments):
+            for name in names:
+                if hasattr(module, name):
+                    original = getattr(module, name)
+                    mp.setattr(module, name, lambda *args, _original=original, **kwargs: seen.append(args[0]) or _original(*args, **kwargs))
+        call()
+    return seen
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    seed=st.integers(-(2**64), 2**65),
+    d=st.one_of(st.just(0.5), st.floats(0.0, np.sqrt(3.0) / 2.0)),
+    p=st.floats(0.0, 1.0),
+    fraction=st.floats(0.01, 0.99),
+    entry=st.sampled_from([(0, 1), (1, 0), (2, 3), (0, 3)]),
+    delta=st.sampled_from([1.0, -1.0, 1j, -1j]),
+)
+def test_what_uwit_decides_unchecked_is_exactly_hermitian(tmp_path_factory, seed, d, p, fraction, entry, delta):
+    """The premise of check=False: a noise block (at d = 0.5 most first
+    candidates are rejected and replayed), the mixtures p S + (1 - p) sigma
+    of _block_flags, their partial transposes and sigma's, and a loaded
+    state whose file is Hermitian only within HERMITICITY_TOL, with its
+    partial transpose and the Pauli basis, all have an adjoint difference
+    with no nonzero entry."""
+    n = 16 if d <= 0.6 else 1  # far out in the ball one draw takes up to a second
+    sigma = _draw_noise_block(seed, d, 0, n)
+    # the mixtures and their partial transposes, then sigma's partial
+    # transpose and those of any mixture the sweep re-decides per p
+    block = first_arguments(lambda: experiments._block_flags(sigma, p), ["_min_pt_eigenvalues", "hermitian_eigen"])
+    sweep = first_arguments(lambda: experiments._sweep_flags(sigma, [p]), ["hermitian_eigen"])
+    assert [a.shape for a in block] == [(n, 4, 4)] * 2 and sweep[0].shape == (n, 4, 4)
+
+    m = random_density_matrix((2, 2), np.random.default_rng(seed % 2**64)).matrix.copy()
+    m[entry] += delta * fraction * HERMITICITY_TOL / np.sqrt(2.0)  # a defect of fraction * HERMITICITY_TOL
+    path = tmp_path_factory.mktemp("near") / "state.json"
+    path.write_text(json.dumps({"dims": [2, 2], "re": m.real.tolist(), "im": m.imag.tolist()}))
+    rho = load_state(path)
+    loaded = first_arguments(lambda: (rho._pauli_values, states.is_npt(rho)), ["expectation", "hermitian_eigen"])
+    assert loaded[0] is rho.matrix and len(loaded) == 2
+
+    for a in [sigma, *block, *sweep, *loaded, _PAULI_BASIS]:
+        assert not _adjoint_difference(a).any()

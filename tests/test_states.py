@@ -83,6 +83,13 @@ class TestDensityMatrix:
     def test_bad_dims(self):
         with pytest.raises(DimensionMismatchError):
             DensityMatrix(np.eye(4, dtype=complex) / 4, (2, 3))
+        with pytest.raises(DimensionMismatchError, match="factor"):
+            PureState([1.0, 0.0, 0.0, 0.0], (2, 3))
+
+    def test_pure_state_must_have_unit_norm(self):
+        with pytest.raises(StateInvariantError) as err:
+            PureState([1.0, 1.0, 0.0, 0.0], (2, 2))
+        assert err.value.violations == ["unit_norm"]
 
     @pytest.mark.parametrize("dims", [(2.9, 2.9), (2.0, 2), (True, 4), (4, np.True_), (np.float64(2), 2), (2, 2, 1)])
     def test_non_integral_dims_are_refused(self, dims):
@@ -140,7 +147,7 @@ class TestDensityMatrix:
 
         rho = random_density_matrix((2, 2), np.random.default_rng(6))
         calls = []
-        monkeypatch.setattr(states, "expectation", lambda *args: calls.append(args) or np.zeros(7))
+        monkeypatch.setattr(states, "expectation", lambda *args, **kwargs: calls.append(args) or np.zeros(7))
         first = rho._pauli_values
         assert rho._pauli_values is first and len(calls) == 1
         assert type(first) is tuple and len(first) == 7 and all(type(v) is float for v in first)
@@ -219,6 +226,10 @@ class TestNoisySinglet:
     def test_invalid_weight(self, p):
         with pytest.raises(InvalidWeightError):
             noisy_singlet(p, maximally_mixed())
+
+    def test_noise_must_be_two_qubits(self):
+        with pytest.raises(DimensionMismatchError, match="2x2-qubit"):
+            noisy_singlet(0.5, maximally_mixed((1, 4)))
 
 
 class TestNoiseBall:
