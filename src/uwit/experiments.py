@@ -197,11 +197,13 @@ def evaluate_detection_flags(config: NoiseBallConfig, p: float, p_index: int):
 
 def sweep_workers(config: NoiseBallConfig, workers: int) -> int:
     """How many processes the sweep of ``config`` runs on when ``workers`` is
-    its cap: 1 means in process. A d = 0 sweep is one matrix and never pools.
-    The pool forks all its workers up front, so it gets at most one per
-    block of samples. Inside the separable ball it runs only when the time
-    it saves, the projected in-process time less that time shared out among
-    the workers, exceeds its start-up."""
+    its cap: 1 means in process. A d = 0 sweep runs in process: its noise is
+    the diagonal I/4, with no draw, and a sample costs about 3 us, too
+    little for the pool to pay back its start-up (on 2 cores it lost or tied
+    up to 130,000 samples). The pool forks all its workers up front, so it
+    gets at most one per block of samples. Inside the separable ball it runs
+    only when the time it saves, the projected in-process time less that
+    time shared out among the workers, exceeds its start-up."""
     if config.d == 0.0:
         return 1
     workers = max(1, min(workers, -(-config.samples // _BLOCK)))
@@ -225,9 +227,7 @@ def run_detection_sweep(
     the linear witness, the nonlinear witness and the partial transpose.
     One pool task is one block of sample indices over the whole grid. Since
     the key depends on neither the block nor the grid, fixed config means
-    bit-identical rows for any ``workers`` and any block size. At d = 0
-    every sigma_i is I/4 bit for bit, so one sample decides the grid and its
-    counts are multiplied by ``config.samples``.
+    bit-identical rows for any ``workers`` and any block size.
 
     The detection inclusion chain (witness => lur => npt) and the soundness
     of both criteria on PPT samples are asserted sample by sample; a
@@ -241,21 +241,19 @@ def run_detection_sweep(
     if not p_grid:
         raise InvalidParameterError("the p grid must hold at least one singlet weight")
 
-    if config.d == 0.0:
-        # Python ints, so that any sample count multiplies without overflow
-        counts = _block_counts((config.seed, config.d, tuple(p_grid), 0, 1)).astype(object) * config.samples
+    tasks = [
+        (config.seed, config.d, tuple(p_grid), start, min(start + _BLOCK, config.samples))
+        for start in range(0, config.samples, _BLOCK)
+    ]
+
+    workers = sweep_workers(config, workers)
+    if workers == 1:
+        results = map(_block_counts, tasks)
     else:
-        tasks = [
-            (config.seed, config.d, tuple(p_grid), start, min(start + _BLOCK, config.samples))
-            for start in range(0, config.samples, _BLOCK)
-        ]
-        workers = sweep_workers(config, workers)
-        if workers == 1:
-            results = map(_block_counts, tasks)
-        else:
-            with _process_pool(workers) as pool:
-                results = list(pool.map(_block_counts, tasks))
-        counts = sum(results, np.zeros((len(p_grid), 6), dtype=np.int64))
+        with _process_pool(workers) as pool:
+            results = list(pool.map(_block_counts, tasks))
+
+    counts = sum(results, np.zeros((len(p_grid), 6), dtype=np.int64))
     chain_violations = int(counts[:, 3:5].sum())
     ppt_detected = int(counts[:, 5].sum())
     if chain_violations or ppt_detected:
