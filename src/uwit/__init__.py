@@ -38,7 +38,6 @@ _EXPORTS = {
         "Spectrum",
         "expectation",
         "hermitian_eigen",
-        "hs_norm",
         "kron",
         "partial_transpose",
     ),
@@ -61,11 +60,9 @@ _EXPORTS = {
         "noisy_singlet",
         "random_density_matrix",
         "random_product_state",
-        "random_pure_state",
         "random_separable_state",
         "sample_noise_ball",
         "save_state",
-        "schmidt_coefficients",
         "singlet_projector",
         "werner_state",
     ),
@@ -75,7 +72,6 @@ _EXPORTS = {
         "bell_populations",
         "bell_tsallis_criterion",
         "bell_variance_criterion",
-        "collective_paulis",
         "entropic_sum_criterion",
         "linear_witness_value",
         "lur_value",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .errors import (
     InvalidParameterError,
 )
 from .linalg import _as_square, _traces, hermitian_eigen
-from .states import _PAULI_BASIS, NPT_THRESHOLD, DensityMatrix, _bell_columns, _witness_values
+from .states import NPT_THRESHOLD, DensityMatrix, _bell_columns, _witness_values
 
 DEGENERACY_TOL = 1e-8
 PROBABILITY_TOL = -1e-12
@@ -45,6 +44,11 @@ BELL_SCHMIDT_SQ = 0.5
 # Above q of about 1023 the Bell-entropy sums of p^q are subnormal or zero
 # and decide nothing, so the Bell-entropy tests refuse q above this.
 BELL_Q_MAX = 1000.0
+
+# Below q = 1 a Bell population that is 0 but for roundoff (2.8e-17) adds
+# its p^q (0.09 at q = 0.0625) to the sum, so the Bell-entropy tests count a
+# population at or below this as 0 there; sound within DETECTION_TOL (README).
+BELL_POPULATION_FLOOR = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,12 +143,6 @@ def lur_value(rho: DensityMatrix, observables, bound: float) -> CriterionVerdict
     bound = _check_bound(bound, "bound")
     total = sum(variance(rho, m) for m in observables)
     return CriterionVerdict(total, bound, _detects(total, bound), "lur")
-
-
-@lru_cache(maxsize=1)
-def collective_paulis() -> tuple[Observable, Observable, Observable]:
-    """The three collective observables sigma_i x I + I x sigma_i."""
-    return tuple(Observable(m) for m in _PAULI_BASIS[1:4])
 
 
 def linear_witness_value(rho: DensityMatrix) -> float:
@@ -303,9 +301,15 @@ def bell_populations(rho: DensityMatrix) -> np.ndarray:
     return _bell_row(rho)
 
 
+def _bell_terms(p, q: float):
+    """_terms of Bell populations, with each at or below BELL_POPULATION_FLOOR
+    counted as 0 when q < 1."""
+    return _terms(np.where(p > BELL_POPULATION_FLOOR, p, 0.0) if q < 1.0 else p, q)
+
+
 def _bell_tsallis_decision(terms, half, q: float):
     """The one Bell-entropy decision, on Python floats or on arrays: whether
-    the four population terms of _terms, added as np.sum adds a length-4
+    the four population terms of _bell_terms, added as np.sum adds a length-4
     axis, give a Tsallis entropy (Shannon at q = 1) below the Schmidt bound
     for c = 1/2, and their sum. The bound is 2 * half, the term sum of (1/2,
     1/2, 0, 0) by the same power, so no 1 - sum(p^q) cancels at large q and
@@ -324,13 +328,13 @@ def _bell_tsallis_decision(terms, half, q: float):
 def _bell_tsallis_detects(columns, q: float):
     """The Bell-entropy decision on four nonnegative population columns
     (arrays, or the rows of a (4, ...) array), as the geometry scan takes it."""
-    return _bell_tsallis_decision([_terms(c, q) for c in columns], _terms(np.array(0.5), q), q)
+    return _bell_tsallis_decision([_bell_terms(c, q) for c in columns], _terms(np.array(0.5), q), q)
 
 
 def _bell_tsallis_verdict(rho: DensityMatrix, q: float, criterion_id: str) -> CriterionVerdict:
     """One state's Bell-entropy verdict for a checked q: one array power of the
     row of its four clamped populations and 0.5, then the decision on its floats."""
-    *terms, half = _terms(_bell_row(rho, 0.5), q).tolist()
+    *terms, half = _bell_terms(_bell_row(rho, 0.5), q).tolist()
     detected, total = _bell_tsallis_decision(terms, half, q)
     return CriterionVerdict(_entropy_from_sum(total, q), _schmidt_bound(BELL_SCHMIDT_SQ, q), detected, criterion_id)
 

@@ -1,7 +1,6 @@
 """Dense complex-matrix substrate: Kronecker products, the Hermitian
-eigendecomposition (LAPACK through numpy), partial transposition,
-expectation values and the Hilbert-Schmidt norm. Everything operates on plain
-numpy arrays."""
+eigendecomposition (LAPACK through numpy), partial transposition and
+expectation values. Everything operates on plain numpy arrays."""
 
 from __future__ import annotations
 
@@ -56,15 +55,6 @@ def _adjoint_difference(m) -> np.ndarray:
     return np.subtract(a, a.conj().swapaxes(-2, -1), order="C")
 
 
-def hermiticity_defect(m):
-    """Hilbert-Schmidt norm of m - m^dagger: a float for one matrix, an array
-    of one norm per matrix for a (..., n, n) stack. A NaN or infinite entry
-    makes its matrix's defect non-finite, with no warning."""
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN
-        defects = _hs_norms(_adjoint_difference(m))
-    return float(defects) if defects.ndim == 0 else defects
-
-
 def _check_hermitian(a: np.ndarray, name: str) -> None:
     """Raise NotHermitianError unless each matrix of a complex (..., n, n)
     stack is Hermitian within HERMITICITY_TOL * max(1, ||M||). A non-finite
@@ -85,11 +75,6 @@ def _check_hermitian(a: np.ndarray, name: str) -> None:
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two square matrices."""
     return np.kron(_as_square(a), _as_square(b))
-
-
-def hs_norm(a) -> float:
-    """Hilbert-Schmidt (Frobenius) norm sqrt(Tr(A A^dagger))."""
-    return float(np.linalg.norm(np.asarray(a, dtype=complex)))
 
 
 def partial_transpose(m, dims: tuple[int, int]) -> np.ndarray:

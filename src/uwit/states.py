@@ -1,7 +1,7 @@
 """Two-qubit state construction and validation: density matrices, Bell
-states, Schmidt coefficients, the noisy-singlet family with its
-Hilbert-Schmidt noise ball, Bell-diagonal geometry, the partial-transpose
-test, and JSON (de)serialization."""
+states, the noisy-singlet family with its Hilbert-Schmidt noise ball,
+Bell-diagonal geometry, the partial-transpose test, and JSON
+(de)serialization."""
 
 from __future__ import annotations
 
@@ -237,13 +237,6 @@ def singlet_projector() -> np.ndarray:
 def maximally_mixed(dims: tuple[int, int] = (2, 2)) -> DensityMatrix:
     n = math.prod(_check_dims(dims))
     return DensityMatrix(np.eye(n, dtype=complex) / n, dims)
-
-
-def schmidt_coefficients(psi: PureState) -> np.ndarray:
-    """Schmidt coefficients (descending singular values of the amplitude matrix);
-    their squares sum to one, as the validated PureState has unit norm."""
-    da, db = psi.dims
-    return np.linalg.svd(psi.amplitudes.reshape(da, db), compute_uv=False)
 
 
 def noisy_singlet(p: float, sigma: DensityMatrix) -> DensityMatrix:
@@ -488,13 +481,6 @@ def in_witness_octahedron(c) -> bool:
     state region where all four populations stay at or below one half."""
     columns = bell_populations_from_coords(c).T
     return bool(_octahedron_mask(columns, _tetrahedron_mask(columns)))
-
-
-def random_pure_state(dims: tuple[int, int], rng: np.random.Generator) -> PureState:
-    """Haar-random pure state on the bipartite system."""
-    n = math.prod(_check_dims(dims))
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return PureState(v / np.linalg.norm(v), dims)
 
 
 def random_product_state(dims: tuple[int, int], rng: np.random.Generator) -> PureState:

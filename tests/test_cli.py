@@ -22,11 +22,11 @@ from uwit.errors import (
     StateInvariantError,
 )
 from uwit.criteria import CRITERION_CHOICES, DETECTION_TOL, WITNESS_TOL, pauli_lur
-from uwit.linalg import HERMITICITY_TOL, hermiticity_defect
 from uwit.states import (
     DensityMatrix,
     PureState,
     bell_states,
+    density_matrix_violations,
     is_npt,
     maximally_mixed,
     noisy_singlet,
@@ -118,11 +118,11 @@ class TestEvaluate:
         exactly Hermitian, so its validation takes no defect norm."""
         state = tmp_path / "ginibre.json"
         save_state(random_density_matrix((2, 2), np.random.default_rng(31)), state)
-        names = ("expectation", "_adjoint_difference", "hermiticity_defect", "_check_hermitian", "_hs_norms")
+        names = ("expectation", "_adjoint_difference", "_check_hermitian", "_hs_norms")
         calls = count_calls(monkeypatch, uwit.linalg, names)
         assert run_cli("evaluate", state, "--q", "2", "--q", "4", "--q", "15") == 0
         assert len(json.loads(capsys.readouterr().out)["criteria"]) == 7
-        assert calls == {"expectation": 1, "_adjoint_difference": 1, "hermiticity_defect": 0, "_check_hermitian": 0, "_hs_norms": 0}, calls
+        assert calls == {"expectation": 1, "_adjoint_difference": 1, "_check_hermitian": 0, "_hs_norms": 0}, calls
 
     def test_a_state_hermitian_only_within_the_bound_takes_the_defect_norm(self, tmp_path, monkeypatch, capsys):
         """A state file Hermitian within HERMITICITY_TOL but not exactly is
@@ -132,11 +132,11 @@ class TestEvaluate:
         m[0, 1] = 1e-13
         state = tmp_path / "near.json"
         state.write_text(json.dumps({"dims": [2, 2], "re": m.tolist(), "im": np.zeros((4, 4)).tolist()}))
-        names = ("_adjoint_difference", "hermiticity_defect", "_check_hermitian", "_hs_norms")
+        names = ("_adjoint_difference", "_check_hermitian", "_hs_norms")
         calls = count_calls(monkeypatch, uwit.linalg, names)
         assert run_cli("evaluate", state) == 0
         assert json.loads(capsys.readouterr().out)["npt"] is False
-        assert calls == {"_adjoint_difference": 1, "hermiticity_defect": 0, "_check_hermitian": 0, "_hs_norms": 1}, calls
+        assert calls == {"_adjoint_difference": 1, "_check_hermitian": 0, "_hs_norms": 1}, calls
 
     @pytest.mark.parametrize("q_args", [(), ("--q", "2"), ("--q", "0.5", "--q", "1", "--q", "2", "--q", "200")])
     def test_derived_values_are_computed_once(self, tmp_path, monkeypatch, capsys, q_args):
@@ -276,7 +276,7 @@ class TestEvaluate:
         lo, hi = 0.0, 1.0
         while np.nextafter(lo, hi) < hi:
             mid = (lo + hi) / 2.0
-            lo, hi = (mid, hi) if hermiticity_defect(rho + mid * k) <= HERMITICITY_TOL else (lo, mid)
+            lo, hi = (mid, hi) if "hermitian" not in density_matrix_violations(rho + mid * k) else (lo, mid)
         m = rho + lo * k
         kept = DensityMatrix(m, (2, 2)).matrix
         assert np.array_equal(kept, kept.conj().T)
@@ -399,12 +399,11 @@ class TestSweep:
 
     def test_eigensolver_failure_exits_5(self, tmp_path, monkeypatch, capsys):
         # the sweep's one eigendecomposition per block goes through
-        # hermitian_eigen; the cached collective Paulis are built first, so
-        # that the failure comes from the sweep's own call
+        # hermitian_eigen, and the sweep builds no Observable, so the failing
+        # call is the sweep's own
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        criteria.collective_paulis()
         monkeypatch.setattr(np.linalg, "eigh", fail)
         out = tmp_path / "e.csv"
         assert run_cli("sweep", "--workers", "1", "--samples", "20", "--out", out) == 5
@@ -833,8 +832,7 @@ def run_python(*args, env=None, stdout=subprocess.PIPE):
     )
 
 
-# the package's public names by submodule, as the eagerly importing package
-# exported them
+# the package's public names by submodule
 PUBLIC_NAMES = {
     "errors": [
         "ConvergenceError", "DegenerateObservableError", "DimensionMismatchError",
@@ -844,23 +842,21 @@ PUBLIC_NAMES = {
     ],
     "linalg": [
         "ID2", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "Spectrum", "expectation", "hermitian_eigen",
-        "hs_norm", "kron", "partial_transpose",
+        "kron", "partial_transpose",
     ],
     "states": [
         "BellDiagonalCoords", "DensityMatrix", "NoiseBallConfig", "PureState",
         "bell_diagonal_state", "bell_populations_from_coords", "bell_state", "bell_states",
         "coords_of", "in_state_tetrahedron", "in_witness_octahedron", "is_npt", "load_state",
         "maximally_mixed", "noise_rng", "noisy_singlet", "random_density_matrix",
-        "random_product_state", "random_pure_state", "random_separable_state",
-        "sample_noise_ball", "save_state", "schmidt_coefficients", "singlet_projector",
-        "werner_state",
+        "random_product_state", "random_separable_state", "sample_noise_ball", "save_state",
+        "singlet_projector", "werner_state",
     ],
     "criteria": [
         "CriterionVerdict", "Observable", "bell_populations", "bell_tsallis_criterion",
-        "bell_variance_criterion", "collective_paulis", "entropic_sum_criterion",
-        "linear_witness_value", "lur_value", "maassen_bound", "measurement_distribution",
-        "nonlinear_witness_value", "pauli_lur", "schmidt_entropy_bound", "shannon_entropy",
-        "tsallis_entropy", "variance",
+        "bell_variance_criterion", "entropic_sum_criterion", "linear_witness_value",
+        "lur_value", "maassen_bound", "measurement_distribution", "nonlinear_witness_value",
+        "pauli_lur", "schmidt_entropy_bound", "shannon_entropy", "tsallis_entropy", "variance",
     ],
     "experiments": [
         "DetectionRow", "GeometryScan", "WernerThresholds", "default_p_grid",

@@ -10,7 +10,7 @@ from uwit.errors import (
     InvalidParameterError,
     NotHermitianError,
 )
-from uwit.linalg import HERMITICITY_TOL, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, expectation, hermiticity_defect, kron
+from uwit.linalg import HERMITICITY_TOL, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, expectation, kron
 from uwit.criteria import (
     DEGENERACY_TOL,
     Observable,
@@ -18,7 +18,6 @@ from uwit.criteria import (
     bell_populations,
     bell_tsallis_criterion,
     bell_variance_criterion,
-    collective_paulis,
     entropic_sum_criterion,
     linear_witness_value,
     lur_value,
@@ -32,6 +31,7 @@ from uwit.criteria import (
     variance,
 )
 from uwit.states import (
+    _PAULI_BASIS,
     DensityMatrix,
     bell_diagonal_state,
     bell_populations_from_coords,
@@ -44,6 +44,8 @@ from uwit.states import (
 )
 
 SINGLET = bell_state(4).density()
+# the collective Paulis sigma_i x I + I x sigma_i, as observables
+COLLECTIVE_PAULIS = [Observable(m) for m in _PAULI_BASIS[1:4]]
 # Bell populations (1 + 5e-10, -5e-10, 0, 0): a valid state within PSD_TOL
 NEAR_BOUNDARY_BELL_DIAGONAL = DensityMatrix(
     sum(p * s.density().matrix for p, s in zip((1 + 5e-10, -5e-10, 0.0, 0.0), bell_states())),
@@ -145,7 +147,7 @@ class TestObservable:
                 u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
                 d = rng.uniform(-scale, scale, 4)
                 m = u @ np.diag(d) @ u.conj().T
-                above_absolute += hermiticity_defect(m) > HERMITICITY_TOL
+                above_absolute += np.linalg.norm(m - m.conj().T) > HERMITICITY_TOL
                 obs = Observable(m)
                 assert [value for value, _ in obs.spectral] == pytest.approx(np.sort(d), rel=1e-9)
                 assert variance(rho, m) >= 0.0
@@ -219,24 +221,24 @@ class TestLur:
         assert not verdict.detected
 
     def test_product_state_sits_on_boundary(self):
-        variances = [variance(ZERO_ZERO, m) for m in collective_paulis()]
+        variances = [variance(ZERO_ZERO, m) for m in COLLECTIVE_PAULIS]
         assert np.allclose(sorted(variances), [0.0, 2.0, 2.0], atol=1e-12)
         verdict = pauli_lur(ZERO_ZERO)
         assert verdict.value == pytest.approx(4.0, abs=1e-12)
         assert not verdict.detected
 
     def test_custom_bound_wrapper(self):
-        verdict = lur_value(SINGLET, collective_paulis(), 4.0)
+        verdict = lur_value(SINGLET, COLLECTIVE_PAULIS, 4.0)
         assert verdict.criterion_id == "lur" and verdict.detected
 
     @pytest.mark.parametrize("bound", [np.nan, np.inf, -np.inf])
     def test_non_finite_bound_refused(self, bound):
         with pytest.raises(InvalidParameterError):
-            lur_value(MIXED, collective_paulis(), bound)
+            lur_value(MIXED, COLLECTIVE_PAULIS, bound)
 
     def test_numpy_bound_gives_python_types(self):
         for rho in (SINGLET, MIXED):
-            verdict = lur_value(rho, collective_paulis(), np.float64(4.0))
+            verdict = lur_value(rho, COLLECTIVE_PAULIS, np.float64(4.0))
             assert type(verdict.value) is float and type(verdict.threshold) is float
             assert type(verdict.detected) is bool
 
@@ -250,15 +252,13 @@ class TestWitnesses:
 
     def test_pauli_basis_is_a_read_only_constant(self):
         """The seven observables every two-qubit criterion reads: I, the
-        collective Paulis (the matrices of collective_paulis) and the
-        correlators."""
+        collective Paulis and the correlators."""
         from uwit import states
 
         paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
         collective = [kron(s, ID2) + kron(ID2, s) for s in paulis]
         basis = np.array([np.eye(4, dtype=complex), *collective, *(kron(s, s) for s in paulis)])
         assert states._PAULI_BASIS.tobytes() == basis.tobytes()
-        assert [m.matrix.tobytes() for m in collective_paulis()] == [m.tobytes() for m in collective]
         assert not states._PAULI_BASIS.flags.writeable
         with pytest.raises(ValueError):
             states._PAULI_BASIS[0, 0, 0] = 0.0
@@ -363,12 +363,11 @@ class TestChecksOnce:
         from uwit import linalg
 
         rho = random_density_matrix((2, 2), np.random.default_rng(40))
-        paulis = collective_paulis()
         calls = {
             "measurement_distribution": lambda: measurement_distribution(rho, XX),
             "variance": lambda: variance(rho, ZZ),
             "entropic_sum_criterion": lambda: entropic_sum_criterion(rho, XX, ZZ, np.log(2)),
-            "lur_value": lambda: lur_value(rho, paulis, 4.0),
+            "lur_value": lambda: lur_value(rho, COLLECTIVE_PAULIS, 4.0),
         }
         expected = {name: call() for name, call in calls.items()}
         checks = []
@@ -695,16 +694,15 @@ class TestBellCriteria:
 class TestConcavity:
     def test_variance_sum_concave_under_mixing(self):
         rng = np.random.default_rng(43)
-        observables = collective_paulis()
         for _ in range(200):
             rho1 = random_density_matrix((2, 2), rng)
             rho2 = random_density_matrix((2, 2), rng)
             lam = rng.uniform()
             mix = DensityMatrix(lam * rho1.matrix + (1 - lam) * rho2.matrix, (2, 2))
-            total_mix = sum(variance(mix, m) for m in observables)
-            total_parts = lam * sum(variance(rho1, m) for m in observables) + (
+            total_mix = sum(variance(mix, m) for m in COLLECTIVE_PAULIS)
+            total_parts = lam * sum(variance(rho1, m) for m in COLLECTIVE_PAULIS) + (
                 1 - lam
-            ) * sum(variance(rho2, m) for m in observables)
+            ) * sum(variance(rho2, m) for m in COLLECTIVE_PAULIS)
             assert total_mix >= total_parts - 1e-9
 
 

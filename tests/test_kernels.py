@@ -18,8 +18,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from uwit.criteria import (
+    BELL_POPULATION_FLOOR,
     DETECTION_TOL,
     WITNESS_TOL,
+    Observable,
     _bell_tsallis_decision,
     _bell_tsallis_detects,
     _entropy,
@@ -28,7 +30,6 @@ from uwit.criteria import (
     bell_populations,
     bell_tsallis_criterion,
     bell_variance_criterion,
-    collective_paulis,
     linear_witness_value,
     lur_value,
     nonlinear_witness_value,
@@ -153,12 +154,14 @@ def bell_populations_oracle(rho: DensityMatrix) -> np.ndarray:
     return np.maximum([float(np.vdot(b.amplitudes, rho.matrix @ b.amplitudes).real) for b in bell_states()], 0.0)
 
 
+# the collective Paulis sigma_i x I + I x sigma_i, as observables
+COLLECTIVE_PAULIS = [Observable(m) for m in _PAULI_BASIS[1:4]]
 LINEAR_WITNESS = np.eye(4, dtype=complex) + sum(kron(s, s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
 
 
 def pauli_lur_oracle(rho: DensityMatrix) -> float:
     """The summed variances of the three collective Paulis, one variance call each."""
-    return lur_value(rho, collective_paulis(), 4.0).value
+    return lur_value(rho, COLLECTIVE_PAULIS, 4.0).value
 
 
 def noisy_singlet_state(rng) -> DensityMatrix:
@@ -224,6 +227,10 @@ def tsallis_edge_states() -> list[DensityMatrix]:
 
 
 EDGE_STATES = tsallis_edge_states()
+# Bell populations (0.750, 0.250, 2.8e-17, 0): a roundoff population that
+# BELL_POPULATION_FLOOR counts as 0 below q = 1
+ROUNDOFF_EPS = 0.5000032133056707
+ROUNDOFF_STATE = DensityMatrix((1.0 - ROUNDOFF_EPS) * np.diag([1.0, 0, 0, 0]) + ROUNDOFF_EPS * bell_states()[0].density().matrix, (2, 2))
 
 
 @BOUNDED
@@ -234,6 +241,7 @@ EDGE_STATES = tsallis_edge_states()
 @example(EDGE_STATES, float(np.nextafter(1.0, 0.0)))
 @example(EDGE_STATES, float(np.nextafter(1.0, 2.0)))
 @example(EDGE_STATES, 1000.0)
+@example([ROUNDOFF_STATE], 0.0625)
 def test_bell_verdicts_equal_batched_decision(states, drawn_q):
     """Every scalar Bell verdict, decided on the floats of one array power,
     has the detection and the value of the array kernel that the geometry
@@ -244,8 +252,10 @@ def test_bell_verdicts_equal_batched_decision(states, drawn_q):
         detected, total = _bell_tsallis_detects(populations, q)
         assert [v.detected for v in verdicts] == detected.tolist()
         assert [v.value for v in verdicts] == (-total if q == 1.0 else (1.0 - total) / (q - 1.0)).tolist()
-        # the row-form entropy is the independent oracle of the values
-        assert [v.value for v in verdicts] == [float(_entropy(p, q)) for p in populations.T]
+        # the row-form entropy, with populations at or below the floor as 0
+        # below q = 1, is the independent oracle of the values
+        floored = populations if q >= 1.0 else np.where(populations > BELL_POPULATION_FLOOR, populations, 0.0)
+        assert [v.value for v in verdicts] == [float(_entropy(p, q)) for p in floored.T]
     verdicts = [bell_variance_criterion(s) for s in states]
     assert [v.detected for v in verdicts] == _bell_tsallis_detects(populations, 2.0)[0].tolist()
     assert [v.value for v in verdicts] == [float(_entropy(p, 2.0)) for p in populations.T]
@@ -291,14 +301,14 @@ def test_coords_read_the_validated_state(states):
 
     with pytest.MonkeyPatch.context() as patch:
         for module in (uwit.linalg, uwit.states, uwit.criteria):
-            for name in ("expectation", "hermiticity_defect", "kron"):
+            for name in ("expectation", "_check_hermitian", "_adjoint_difference", "kron"):
                 patch.setattr(module, name, refuse, raising=False)
         coords = [tuple(coords_of(s)) for s in states]
         assert coords == checked
         assert [linear_witness_value(s) for s in states] == linear
         for s in states:
             nonlinear_witness_value(s), pauli_lur(s), bell_variance_criterion(s), bell_tsallis_criterion(s, 3.0)
-    # construction validates, so hermiticity_defect runs again, but not kron
+    # construction validates, so _adjoint_difference runs again, but not kron
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(uwit.states, "kron", refuse)
         for c in coords:

@@ -9,8 +9,6 @@ from uwit.linalg import (
     SIGMA_Z,
     expectation,
     hermitian_eigen,
-    hermiticity_defect,
-    hs_norm,
     kron,
     partial_transpose,
 )
@@ -146,32 +144,6 @@ class TestHermitianEigen:
                 hermitian_eigen(h)
 
 
-class TestHermiticityDefect:
-    def test_stack_gives_each_slice_defect(self):
-        # one formula for a matrix and a stack: a matrix's defect, and so its
-        # verdict, does not depend on the stack it sits in
-        rng = np.random.default_rng(29)
-        near = [random_hermitian(rng, 4) + 1e-11 * rng.standard_normal((4, 4)) for _ in range(6)]
-        stack = np.array(near).reshape(2, 3, 4, 4)
-        defects = hermiticity_defect(stack)
-        assert defects.shape == (2, 3)
-        for index in np.ndindex(defects.shape):
-            m = stack[index]
-            one = hermiticity_defect(m)
-            assert isinstance(one, float) and defects[index] == one
-            assert one == pytest.approx(np.linalg.norm(m - m.conj().T), rel=1e-12)
-
-    def test_non_finite_entry_gives_non_finite_defect(self):
-        for m in NON_HERMITIAN[1:]:
-            defects = hermiticity_defect(np.array([SIGMA_Z, m]))  # inf - inf warns nothing
-            assert defects[0] == 0.0 and not np.isfinite(defects[1])
-
-    def test_rejects_non_square_input(self):
-        for shape in ((4,), (2, 3), (3, 2, 3)):
-            with pytest.raises(DimensionMismatchError):
-                hermiticity_defect(np.zeros(shape))
-
-
 class TestPartialTranspose:
     def test_involution_exact(self):
         rng = np.random.default_rng(7)
@@ -299,22 +271,3 @@ class TestExpectation:
                 check(np.array(stack))
                 with pytest.raises(NotHermitianError):
                     check(np.array(stack + [bad]))
-
-
-class TestHsNorm:
-    def test_identity(self):
-        assert hs_norm(np.eye(4)) == pytest.approx(2.0, abs=1e-14)
-
-    def test_zero(self):
-        assert hs_norm(np.zeros((3, 3))) == 0.0
-
-    def test_pauli_product(self):
-        m = kron(SIGMA_X, SIGMA_Y)
-        oracle = np.sqrt(sum(abs(m[i, j]) ** 2 for i in range(4) for j in range(4)))
-        assert oracle == pytest.approx(2.0, abs=1e-14)
-        assert hs_norm(m) == pytest.approx(2.0, abs=1e-14)
-
-    def test_squared_norm_is_entry_sum(self):
-        rng = np.random.default_rng(17)
-        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        assert abs(hs_norm(m) ** 2 - np.sum(np.abs(m) ** 2)) < 1e-12

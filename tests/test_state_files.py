@@ -15,6 +15,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
+from haar import haar_pure_state
 from uwit.cli import main
 from uwit.states import (
     bell_diagonal_state,
@@ -23,7 +24,6 @@ from uwit.states import (
     load_state,
     random_density_matrix,
     random_product_state,
-    random_pure_state,
     random_separable_state,
     save_state,
     werner_state,
@@ -34,7 +34,7 @@ BOUNDED = settings(derandomize=True, max_examples=60, deadline=None)
 FAMILIES = {
     "ginibre": lambda dims, rng: random_density_matrix(dims, rng),
     "separable": lambda dims, rng: random_separable_state(int(rng.integers(1, 5)), rng, dims),
-    "pure": lambda dims, rng: random_pure_state(dims, rng).density(),
+    "pure": lambda dims, rng: haar_pure_state(dims, rng).density(),
     "product": lambda dims, rng: random_product_state(dims, rng).density(),
 }
 

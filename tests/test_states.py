@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from haar import haar_pure_state
 from uwit.errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -13,12 +15,13 @@ from uwit.errors import (
 )
 from uwit.criteria import Observable
 from uwit.experiments import run_geometry_scan
-from uwit.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, hermitian_eigen, hs_norm, kron
+from uwit.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, hermitian_eigen, kron
 from uwit.states import (
     BellDiagonalCoords,
     DensityMatrix,
     NoiseBallConfig,
     PureState,
+    _draw_noise_block,
     bell_diagonal_state,
     bell_populations_from_coords,
     bell_state,
@@ -33,11 +36,9 @@ from uwit.states import (
     noisy_singlet,
     random_density_matrix,
     random_product_state,
-    random_pure_state,
     random_separable_state,
     sample_noise_ball,
     save_state,
-    schmidt_coefficients,
     singlet_projector,
     werner_state,
 )
@@ -107,8 +108,6 @@ class TestDensityMatrix:
             DensityMatrix(np.eye(4, dtype=complex) / 4, dims)
         with pytest.raises(DimensionMismatchError, match="positive"):
             PureState(np.eye(4)[0], dims)
-        with pytest.raises(DimensionMismatchError, match="positive"):
-            random_pure_state(dims, np.random.default_rng(0))
 
     @pytest.mark.parametrize("dims", [(2, 2.0), (2.5, 2), ("2", 2), (2,), 4, None, (-2, -2)])
     @pytest.mark.parametrize(
@@ -118,11 +117,10 @@ class TestDensityMatrix:
             lambda dims: PureState(np.eye(4)[0], dims),
             maximally_mixed,
             lambda dims: random_density_matrix(dims, np.random.default_rng(0)),
-            lambda dims: random_pure_state(dims, np.random.default_rng(0)),
             lambda dims: random_product_state(dims, np.random.default_rng(0)),
             lambda dims: random_separable_state(2, np.random.default_rng(0), dims),
         ],
-        ids=["DensityMatrix", "PureState", "maximally_mixed", "random_density_matrix", "random_pure_state", "random_product_state", "random_separable_state"],
+        ids=["DensityMatrix", "PureState", "maximally_mixed", "random_density_matrix", "random_product_state", "random_separable_state"],
     )
     def test_every_constructor_checks_dims_first(self, construct, dims):
         """Malformed dims are refused before any constructor uses them, not
@@ -180,33 +178,6 @@ class TestBellStates:
             bell_state(5)
 
 
-class TestSchmidt:
-    def test_product_state(self):
-        psi = PureState([1, 0, 0, 0], (2, 2))
-        assert np.allclose(schmidt_coefficients(psi), [1.0, 0.0], atol=1e-15)
-
-    def test_singlet(self):
-        coeffs = schmidt_coefficients(bell_state(4))
-        assert np.allclose(coeffs, [1 / np.sqrt(2)] * 2, atol=1e-12)
-
-    def test_squares_sum_to_one(self):
-        rng = np.random.default_rng(3)
-        for dims in [(2, 2), (2, 3), (3, 4)]:
-            psi = random_pure_state(dims, rng)
-            coeffs = schmidt_coefficients(psi)
-            assert abs(np.sum(coeffs**2) - 1.0) <= 1e-10
-            assert np.all(np.diff(coeffs) <= 0)
-
-    def test_against_reduced_state_spectrum(self):
-        # squared coefficients must match the reduced density matrix spectrum
-        rng = np.random.default_rng(4)
-        psi = random_pure_state((2, 2), rng)
-        amp = psi.amplitudes.reshape(2, 2)
-        reduced = amp @ amp.conj().T
-        oracle = np.sort(np.linalg.eigvalsh(reduced))[::-1]
-        assert np.allclose(schmidt_coefficients(psi) ** 2, oracle, atol=1e-12)
-
-
 class TestNoisySinglet:
     def test_pure_endpoint(self):
         rho = noisy_singlet(1.0, maximally_mixed())
@@ -241,7 +212,7 @@ class TestNoiseBall:
         rng = noise_rng(2)
         for _ in range(200):
             sigma = sample_noise_ball(0.2, rng)
-            assert hs_norm(sigma.matrix - np.eye(4) / 4) <= 0.2 + 1e-12
+            assert np.linalg.norm(sigma.matrix - np.eye(4) / 4) <= 0.2 + 1e-12
             assert np.linalg.eigvalsh(sigma.matrix)[0] >= -1e-9
 
     def test_mean_concentrates_on_center(self):
@@ -251,7 +222,7 @@ class TestNoiseBall:
         n = 10**4
         for _ in range(n):
             total += sample_noise_ball(0.2, rng).matrix
-        assert hs_norm(total / n - np.eye(4) / 4) < 0.01
+        assert np.linalg.norm(total / n - np.eye(4) / 4) < 0.01
 
     def test_stream_determinism(self):
         a = sample_noise_ball(0.2, noise_rng(42, 1, 2)).matrix
@@ -303,6 +274,52 @@ class TestNoiseBall:
         assert type(config.seed) is int and type(config.samples) is int
 
 
+class TestNoiseBallLaw:
+    """At d = 0.2 the ball lies inside the state set (whose inscribed
+    Hilbert-Schmidt ball around I/4 has radius 1/sqrt(12)), so every first
+    candidate is kept and the sweep's noise sigma - I/4 should be uniform in
+    the 15-dimensional ball of radius d: its radius ratio r = ||sigma - I/4||/d
+    has the law P(r <= t) = t^15, and its coordinates c_k = Tr(sigma P_k)/2 in
+    the orthonormal basis P_k/2 (P_k = sigma_i x sigma_j, not both I) have mean
+    0 and covariance s^2 I with s^2 = d^2/17.
+
+    The bounds are stated from n = 20,000 draws. KS: the Dvoretzky-Kiefer-
+    Wolfowitz inequality P(D > x) <= 2 exp(-2 n x^2) puts the alpha = 1e-6
+    critical value at sqrt(ln(2/alpha)/(2n)) = 0.01905. Moments: on the ball,
+    E c_k^4 = 3 d^4/323 and E c_k^2 c_l^2 = d^4/323, so the standard error of
+    a mean is s/sqrt(n), of a variance s^2 sqrt(867/323 - 1)/sqrt(n) and of a
+    covariance s^2 sqrt(289/323)/sqrt(n); each is held within 5 of them."""
+
+    N, D = 20_000, 0.2
+
+    @pytest.fixture(scope="class")
+    def noise(self):
+        return _draw_noise_block(42, self.D, 0, self.N) - np.eye(4) / 4
+
+    def ks_statistic(self, u):
+        """sup |F_n - F| for draws u of a law whose CDF maps them to uniform (0, 1)."""
+        u, i = np.sort(u), np.arange(1, len(u) + 1)
+        return max((i / len(u) - u).max(), (u - (i - 1) / len(u)).max())
+
+    def test_radius_follows_the_ball_law(self, noise):
+        critical = math.sqrt(math.log(2 / 1e-6) / (2 * self.N))
+        r = np.linalg.norm(noise, axis=(1, 2)) / self.D
+        assert self.ks_statistic(r**15) < critical
+        # the test tells the law from radii drawn as d u^(1/14) or d u^(1/16)
+        for exponent in (15 / 14, 15 / 16):
+            assert self.ks_statistic((r**exponent) ** 15) > critical
+
+    def test_coordinates_have_the_ball_moments(self, noise):
+        paulis = (np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_Z)
+        basis = np.array([np.kron(a, b) for a in paulis for b in paulis][1:])
+        c = np.einsum("nab,kba->nk", noise, basis).real / 2
+        s2, se = self.D**2 / 17, 1 / math.sqrt(self.N)
+        assert np.abs(c.mean(axis=0)).max() <= 5 * math.sqrt(s2) * se
+        moments = c.T @ c / self.N - s2 * np.eye(15)
+        assert np.abs(np.diag(moments)).max() <= 5 * s2 * math.sqrt(867 / 323 - 1) * se
+        assert np.abs(moments[~np.eye(15, dtype=bool)]).max() <= 5 * s2 * math.sqrt(289 / 323) * se
+
+
 class TestNpt:
     def test_maximally_mixed(self):
         npt, min_eig = is_npt(maximally_mixed())
@@ -326,8 +343,8 @@ class TestNpt:
         rng = np.random.default_rng(9)
         count = 0
         while count < 1000:
-            psi = random_pure_state((2, 2), rng)
-            coeffs = schmidt_coefficients(psi)
+            psi = haar_pure_state((2, 2), rng)
+            coeffs = np.linalg.svd(psi.amplitudes.reshape(2, 2), compute_uv=False)
             if coeffs[1] <= 1e-6:
                 continue
             count += 1

@@ -10,11 +10,14 @@ witness value -2 eps (its collective-Pauli means are 0) and pauli_lur value
 eps > WITNESS_TOL / 2. (1 - eps)|00><00| + eps |phi+><phi+| has Bell
 populations ((1 + eps)/2, (1 - eps)/2, 0, 0), so sum p^q = 2^(1-q) f with
 f = ((1 + eps)^q + (1 - eps)^q)/2 = 1 + q(q - 1) eps^2/2 + ..., and |f - 1|
-grows with eps. The verdict for q > 1 needs f - 1 > DETECTION_TOL, which
-holds for eps > sqrt(2 DETECTION_TOL / (q(q - 1))); at q = 1 the entropy
-falls below ln 2 by eps^2/2 + ..., which passes DETECTION_TOL for
-eps > sqrt(2 DETECTION_TOL). Weights are drawn from 1.1 times the floor,
-which leaves 0.21 DETECTION_TOL for roundoff.
+grows with eps. The verdict needs f - 1 > DETECTION_TOL for q > 1 and
+1 - f > DETECTION_TOL for q < 1, which hold for
+eps > sqrt(2 DETECTION_TOL / |q(q - 1)|); at q = 1 the entropy falls below
+ln 2 by eps^2/2 + ..., which passes DETECTION_TOL for
+eps > sqrt(2 DETECTION_TOL). Below q = 1 the two zero populations are 0
+but for roundoff, which BELL_POPULATION_FLOOR counts as 0. Weights are
+drawn from 1.1 times the floor, which leaves 0.21 DETECTION_TOL for
+roundoff.
 
 The witnesses and pauli_lur are constant on a local-unitary orbit
 (U x U) rho (U x U)^dagger: I + XX + YY + ZZ is twice the swap, which U x U
@@ -29,7 +32,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
-from uwit.criteria import _CRITERIA, BELL_Q_MAX, DETECTION_TOL, WITNESS_TOL
+from uwit.criteria import (
+    _CRITERIA,
+    BELL_POPULATION_FLOOR,
+    BELL_Q_MAX,
+    DETECTION_TOL,
+    WITNESS_TOL,
+    bell_populations,
+    tsallis_entropy,
+)
 from uwit.errors import InvalidParameterError
 from uwit.states import DensityMatrix, PureState, bell_state, random_product_state
 
@@ -100,13 +111,12 @@ def test_00_attains_every_bell_threshold(q):
         assert not v.detected, v
 
 
-# q from 1 to 1000. Beyond q of about 1023 the sums p^q and 2^(1-q) are
-# subnormal or zero, and below q = 1 a Bell population that is 0 but for
-# roundoff (2.8e-17) adds (2.8e-17)^q to the sum, 5e-9 at q = 0.5 and 0.09
-# at q = 0.0625, far above DETECTION_TOL: there no floor derived from the
-# guard holds (CHANGES.md)
+# q in (0, 1000]: beyond q of about 1023 the sums p^q and 2^(1-q) are
+# subnormal or zero
 @BOUNDED
-@given(st.floats(min_value=1.0, max_value=1000.0), st.floats(0.0, 1.0))
+@given(st.floats(min_value=0.0, max_value=1000.0, exclude_min=True), st.floats(0.0, 1.0))
+@example(0.0625, 0.0)
+@example(0.5, 0.0)
 @example(1.0, 0.0)
 @example(2.0, 0.0)
 @example(200.0, 0.0)
@@ -117,6 +127,25 @@ def test_00_with_phi_plus_crosses_above_the_bell_floor(q, u):
     eps = low + u * (1.0 - low)
     ids = BELL_IDS if q == 2.0 else ("bell_tsallis",)  # bell_variance is q = 2
     assert all(v.detected for v in verdicts(mixture(KET_00, PHI_PLUS, eps), ids, q))
+
+
+# (1 - eps)|00><00| + eps |phi+><phi+| at this eps has computed Bell
+# populations (0.750, 0.250, 2.8e-17, 0). Powered as computed, the
+# roundoff's (2.8e-17)^0.0625 = 0.09 lifted the sum above the bound, and
+# q = 0.0625 did not detect the state that q = 0.25 to 2 detect.
+ROUNDOFF_EPS = 0.5000032133056707
+
+
+@pytest.mark.parametrize("q", [0.0625, 0.25, 0.5, 1.0, 2.0])
+def test_00_with_phi_plus_is_detected_through_a_roundoff_population(q):
+    rho = mixture(KET_00, PHI_PLUS, ROUNDOFF_EPS)
+    populations = bell_populations(rho)
+    assert 0.0 < populations[2] <= BELL_POPULATION_FLOOR
+    (verdict,) = verdicts(rho, ["bell_tsallis"], q)
+    assert verdict.detected, verdict
+    # the floor is the Bell test's alone: tsallis_entropy keeps the roundoff's term
+    entropy = tsallis_entropy(populations, q)
+    assert (entropy > verdict.value) if q < 1.0 else (entropy == verdict.value)
 
 
 def haar_unitary(rng) -> np.ndarray:
