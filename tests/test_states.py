@@ -109,7 +109,7 @@ class TestDensityMatrix:
         with pytest.raises(DimensionMismatchError, match="positive"):
             PureState(np.eye(4)[0], dims)
 
-    @pytest.mark.parametrize("dims", [(2, 2.0), (2.5, 2), ("2", 2), (2,), 4, None, (-2, -2)])
+    @pytest.mark.parametrize("dims", [(2, 2.0), (2.5, 2), ("2", 2), (2,), 4, None, (-2, -2), (True, 4), (0, 4)])
     @pytest.mark.parametrize(
         "construct",
         [
@@ -124,7 +124,9 @@ class TestDensityMatrix:
     )
     def test_every_constructor_checks_dims_first(self, construct, dims):
         """Malformed dims are refused before any constructor uses them, not
-        by a bare TypeError, IndexError or numpy's ValueError."""
+        by a bare TypeError, IndexError or numpy's ValueError. A boolean or
+        zero dimension is refused too, although (True, 4) multiplies out to
+        a valid size and (0, 4) to an empty one."""
         with pytest.raises(DimensionMismatchError, match="positive"):
             construct(dims)
 
