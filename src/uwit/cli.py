@@ -247,20 +247,24 @@ def _print(text: str) -> None:
     _save("standard output", lambda _: sys.stdout.write(text))
 
 
-_JSON_VERDICT = '    {{\n      "id": "{}",\n      "value": {},\n      "threshold": {},\n      "detected": {}\n    }}'
-_JSON_REPORT = '{{\n  "dims": [\n    {},\n    {}\n  ],\n  "criteria": [\n{}\n  ],\n  "npt": {},\n  "min_pt_eigenvalue": {}\n}}\n'
 _JSON_BOOL = {False: "false", True: "true"}
 
 
 def _json_text(dims, verdicts, npt: bool, min_pt: float) -> str:
     """The evaluate report of at least one verdict as json.dumps(indent=2)
-    prints it, from a template: every number of a report is finite (README)
-    and prints as float.__repr__, as json prints it; ids are plain ASCII."""
+    prints it, from compiled f-strings: every number of a report is finite
+    (README) and prints as float.__repr__, as json prints it; ids are plain
+    ASCII."""
+    r = float.__repr__
     body = ",\n".join(
-        _JSON_VERDICT.format(v.criterion_id, float.__repr__(v.value), float.__repr__(v.threshold), _JSON_BOOL[v.detected])
+        f'    {{\n      "id": "{v.criterion_id}",\n      "value": {r(v.value)},\n'
+        f'      "threshold": {r(v.threshold)},\n      "detected": {_JSON_BOOL[v.detected]}\n    }}'
         for v in verdicts
     )
-    return _JSON_REPORT.format(*dims, body, _JSON_BOOL[npt], float.__repr__(min_pt))
+    return (
+        f'{{\n  "dims": [\n    {dims[0]},\n    {dims[1]}\n  ],\n  "criteria": [\n{body}\n  ],\n'
+        f'  "npt": {_JSON_BOOL[npt]},\n  "min_pt_eigenvalue": {r(min_pt)}\n}}\n'
+    )
 
 
 def _cmd_evaluate(args) -> None:
@@ -286,12 +290,14 @@ def _cmd_evaluate(args) -> None:
 def _cmd_sweep(args) -> None:
     seed = _seed(args.seed)
     config = NoiseBallConfig(d=args.d, seed=seed, samples=args.samples)
+    # decided once: sweep_workers maps a decided count to itself, so the run
+    # takes this count and the summary prints the count the run used
+    workers = sweep_workers(config, args.workers)
     # without --p-grid, run_detection_sweep uses its default grid
-    rows = run_detection_sweep(config, args.p_grid, workers=args.workers)
+    rows = run_detection_sweep(config, args.p_grid, workers=workers)
     out = f"sweep.{args.format}" if args.out is None else args.out
     write = write_detection_csv if args.format == "csv" else write_detection_json
     _save(out, lambda path: write(rows, path))
-    workers = sweep_workers(config, args.workers)
     _print(
         f"sweep: wrote {len(rows)} rows to {out} "
         f"(d={args.d:g}, samples={args.samples}, seed={seed}, workers={workers})\n"

@@ -290,8 +290,11 @@ def _schmidt_bound(c: float, q: float) -> float:
 
 
 def _bell_row(rho: DensityMatrix, *extra) -> np.ndarray:
-    """bell_populations(rho) followed by ``extra``, as one fresh array."""
-    return np.maximum((*_bell_columns(*rho._pauli_values[4:], rho._pauli_values[0]), *extra), 0.0)
+    """bell_populations(rho) followed by ``extra``, each clamped at 0 on
+    Python floats (a -0.0 gives +0.0, as np.maximum gives it), as one fresh
+    array."""
+    t, _, _, _, x, y, z = rho._pauli_values
+    return np.array([c if c > 0.0 else 0.0 for c in (*_bell_columns(x, y, z, t), *extra)])
 
 
 def bell_populations(rho: DensityMatrix) -> np.ndarray:

@@ -203,7 +203,8 @@ def sweep_workers(config: NoiseBallConfig, workers: int) -> int:
     up to 130,000 samples). The pool forks all its workers up front, so it
     gets at most one per block of samples. Inside the separable ball it runs
     only when the time it saves, the projected in-process time less that
-    time shared out among the workers, exceeds its start-up."""
+    time shared out among the workers, exceeds its start-up. A count this
+    returns maps to itself, so a caller may decide once and pass it on."""
     if config.d == 0.0:
         return 1
     workers = max(1, min(workers, -(-config.samples // _BLOCK)))

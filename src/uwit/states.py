@@ -108,12 +108,13 @@ def _check_dims(dims) -> tuple[int, int]:
 def density_matrix_violations(m: np.ndarray) -> list[str]:
     """Names of the density-matrix invariants violated by ``m`` (empty = valid)."""
     violations = []
-    if not np.isfinite(m).all():  # first, so that no inf - inf is subtracted below
+    # first, so that no inf - inf is subtracted below; counted, as faster than .all()
+    if np.count_nonzero(np.isfinite(m)) != m.size:
         return ["finite_entries"]
     difference = _adjoint_difference(m)
     if difference.any() and _hs_norms(difference) > HERMITICITY_TOL:
         violations.append("hermitian")
-    trace = complex(np.trace(m))
+    trace = complex(m.trace())
     if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
         violations.append("unit_trace")
     if "hermitian" not in violations:

@@ -360,6 +360,23 @@ class TestSweep:
         assert "samples=20000, seed=1, workers=2)" in capsys.readouterr().out
         assert started == [2]
 
+    @pytest.mark.parametrize("d, samples, cap, workers", [("0.2", "2000", "2", 1), ("0.5", "600", "64", 3)])
+    def test_the_run_takes_the_printed_count(self, tmp_path, monkeypatch, capsys, d, samples, cap, workers):
+        # the CLI decides the worker count once, before the run, and prints
+        # the count it passed: in process, and one worker per block of 600
+        passed = []
+        real_sweep = cli.run_detection_sweep
+
+        def spied_sweep(config, p_grid=None, workers=1):
+            passed.append(workers)
+            return real_sweep(config, p_grid, workers=workers)
+
+        monkeypatch.setattr(cli, "run_detection_sweep", spied_sweep)
+        argv = ("sweep", "--d", d, "--samples", samples, "--p-grid", "0.5", "--workers", cap, "--seed", "1")
+        assert run_cli(*argv, "--out", tmp_path / "w.csv") == 0
+        assert passed == [workers]
+        assert f"workers={workers})" in capsys.readouterr().out
+
     def test_bad_grid_exits_2(self, tmp_path):
         assert run_cli("sweep", "--samples", "5", "--p-grid", "0.5,2", "--out", tmp_path / "f.csv") == 2
 
@@ -658,6 +675,17 @@ class TestPinnedOutputs:
             (
                 ("evaluate", "SEP", "--criteria", "bell_tsallis,linear_witness", "--q", "3"),
                 "fc717372838e8220e62399d3f9caf10880f1ec26397e4edab33fb07a1d562137",
+            ),
+            # state files: the Bell 2 and Bell 4 projectors hold mirrored
+            # signed zeros, which DensityMatrix's (m + m^dagger)/2 normalizes
+            (("gen-state", "bell", "1"), "c0c1b0b80c0735b6b6e814b28a87e37b7067b9b47d1575bedde6e12716665946"),
+            (("gen-state", "bell", "2"), "e7d0c10d4e71eba84bb3c5e0338325f975485abb9792cd15ee71fa55f51649de"),
+            (("gen-state", "bell", "3"), "c725748bb95f64c3d23899266deab2e79910e16ecaf34b1a7deaa3c65041cb41"),
+            (("gen-state", "bell", "4"), "b36b08883a13e562985074b88ad09ebe7901cdae9a99cbb60690ee3acc324d08"),
+            (("gen-state", "werner", "0.5"), "6644befe42fb1862078960c3d6f5b67f8aa76cce3152290c805822c0ba4087e4"),
+            (
+                ("gen-state", "bell-diagonal", "-0.5", "0.2", "-0.1"),
+                "1f4b7880d8b06e183259970a5ae406d4e139238f18c59f724c00ed4e2b8957ca",
             ),
         ],
     )

@@ -302,6 +302,28 @@ class TestDetectionSweep:
         monkeypatch.setattr(experiments, "_process_pool", no_pool)
         assert run_detection_sweep(config, workers=64) == in_process
 
+    def test_a_decided_count_maps_to_itself(self):
+        """sweep_workers(config, w) for a decided w is w, on both sides of
+        1/sqrt(12), at d = 0 and for any sample count and cap: the CLI
+        decides once and passes the count on, and the run keeps it."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        edges = [0.0, 0.2, 0.2886, experiments._SEPARABLE_RADIUS, 0.2887, 0.5, np.sqrt(3.0) / 2.0]
+        radius = st.sampled_from(edges) | st.floats(0.0, np.sqrt(3.0) / 2.0)
+
+        @hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
+        @hypothesis.given(radius, st.integers(1, 10**9), st.integers(1, 4096))
+        @hypothesis.example(0.2, 2000, 2)
+        @hypothesis.example(0.2886, 9000, 2)
+        @hypothesis.example(0.2887, 257, 64)
+        def check(d, samples, cap):
+            config = NoiseBallConfig(d=d, samples=samples)
+            workers = sweep_workers(config, cap)
+            assert 1 <= workers <= cap
+            assert sweep_workers(config, workers) == workers
+
+        check()
+
     @pytest.mark.parametrize("d, samples", [(0.2, 10000), (0.5, 300)])
     def test_real_pool_gives_in_process_bytes(self, tmp_path, monkeypatch, d, samples):
         # a ProcessPoolExecutor sweep that the rule chooses, against the same

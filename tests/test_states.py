@@ -322,6 +322,53 @@ class TestNoiseBallLaw:
         assert np.abs(moments[~np.eye(15, dtype=bool)]).max() <= 5 * s2 * math.sqrt(289 / 323) * se
 
 
+class TestNoiseBallCut:
+    """At d = 0.4 > 1/sqrt(12) the ball reaches out of the state set, and
+    about half of the first candidates are rejected: the sweep's noise should
+    be the uniform ball cut to the PSD matrices. An independent reference
+    draws that law directly: a Gaussian direction in the 15 traceless
+    coordinates c_k (orthonormal basis P_k/2, P_k = sigma_i x sigma_j, not
+    both I), a radius d u^(1/15), and only the points I/4 + sum c_k P_k/2
+    with no negative eigenvalue kept. The radii ||sigma - I/4||/d of n
+    sampler draws and n reference points are compared by the two-sample KS
+    statistic D.
+
+    The bound is stated from n = 4,000 per side. For two samples of size n
+    from one continuous law, the reflection principle (Gnedenko-Korolyuk)
+    gives P(D+ >= k/n) = C(2n, n - k)/C(2n, n) = prod_{i=1..k} (1 - k/(n + i))
+    <= exp(-k^2/(n + k)), so P(D >= x) <= 2 exp(-n x^2/(1 + x)). At
+    alpha = 1e-6 that puts the critical value at the root of
+    n x^2 = ln(2/alpha) (1 + x), x = 0.06207. The reference keeps eigenvalues
+    >= 0 and the sampler >= PSD_TOL = -1e-9, a difference of negligible
+    measure."""
+
+    N, D = 4000, 0.4
+
+    def ks_statistic(self, a, b):
+        """sup |F_a - F_b| of the empirical CDFs of two samples."""
+        a, b = np.sort(a), np.sort(b)
+        x = np.concatenate([a, b])
+        return np.abs(np.searchsorted(a, x, side="right") / len(a) - np.searchsorted(b, x, side="right") / len(b)).max()
+
+    def test_radius_follows_the_cut_ball_law(self):
+        x = math.log(2 / 1e-6) / self.N
+        critical = (x + math.sqrt(x * x + 4 * x)) / 2
+        sampler = np.linalg.norm(_draw_noise_block(42, self.D, 0, self.N) - np.eye(4) / 4, axis=(1, 2)) / self.D
+        # the reference: 3 N candidates, at an acceptance of about 1/2
+        paulis = (np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_Z)
+        basis = np.array([np.kron(a, b) for a in paulis for b in paulis][1:]) / 2
+        rng = np.random.default_rng(2024)
+        g = rng.standard_normal((3 * self.N, 15))
+        r = rng.uniform(size=3 * self.N) ** (1 / 15)
+        c = g / np.linalg.norm(g, axis=1)[:, None] * (self.D * r)[:, None]
+        kept = np.linalg.eigvalsh(np.eye(4) / 4 + np.einsum("nk,kab->nab", c, basis))[:, 0] >= 0.0
+        assert kept.sum() >= self.N
+        assert self.ks_statistic(sampler, r[kept][: self.N]) < critical
+        # the test tells the cut law from the uncut ball's, that of a sampler
+        # that accepts every candidate
+        assert self.ks_statistic(sampler, r[: self.N]) > critical
+
+
 class TestNpt:
     def test_maximally_mixed(self):
         npt, min_eig = is_npt(maximally_mixed())
