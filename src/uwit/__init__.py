@@ -35,7 +35,6 @@ _EXPORTS = {
         "SIGMA_X",
         "SIGMA_Y",
         "SIGMA_Z",
-        "Spectrum",
         "expectation",
         "hermitian_eigen",
         "kron",

@@ -67,19 +67,19 @@ class Observable:
 
     def __post_init__(self):
         mat = _as_square(np.array(self.matrix, dtype=complex))  # one matrix: hermitian_eigen takes stacks too
-        eig = hermitian_eigen(mat)
+        values, vectors = hermitian_eigen(mat)
         groups: list[list[int]] = []
-        for idx, val in enumerate(eig.eigenvalues):
-            if groups and val - eig.eigenvalues[groups[-1][-1]] <= DEGENERACY_TOL:
+        for idx, val in enumerate(values):
+            if groups and val - values[groups[-1][-1]] <= DEGENERACY_TOL:
                 groups[-1].append(idx)
             else:
                 groups.append([idx])
         spectral = []
         for group in groups:
-            vecs = eig.eigenvectors[:, group]
+            vecs = vectors[:, group]
             projector = vecs @ vecs.conj().T
             projector.setflags(write=False)
-            spectral.append((float(np.mean(eig.eigenvalues[group])), projector))
+            spectral.append((float(np.mean(values[group])), projector))
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "spectral", tuple(spectral))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidParameterError, NumericalDefectError
-from .linalg import _traces, hermitian_eigen, partial_transpose
+from .linalg import _eigh, _traces, partial_transpose
 from .states import (
     _PAULI_BASIS,
     NPT_THRESHOLD,
@@ -135,8 +135,7 @@ def _sweep_flags(sigma: np.ndarray, p_grid) -> tuple[np.ndarray, np.ndarray, np.
     linear = -2.0 * p + q * linear_sigma[:, None]
     nonlinear = linear - q**2 * half_means_sq[:, None]
 
-    spectrum = hermitian_eigen(partial_transpose(sigma, (2, 2)), check=False)  # sigma is exactly Hermitian
-    s, u = spectrum.eigenvalues, spectrum.eigenvectors
+    s, u = _eigh(partial_transpose(sigma, (2, 2)))  # sigma is exactly Hermitian
     overlap = np.abs(u[:, 0, :] + u[:, 3, :]) ** 2 / 2.0  # |<u_i|phi+>|^2
     shift = p / 2.0 - NPT_THRESHOLD
     with np.errstate(divide="ignore", invalid="ignore"):

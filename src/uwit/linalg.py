@@ -1,10 +1,8 @@
-"""Dense complex-matrix substrate: Kronecker products, the Hermitian
-eigendecomposition (LAPACK through numpy), partial transposition and
+"""Dense complex-matrix substrate: Kronecker products, uwit's only calls of
+LAPACK's Hermitian eigensolvers (through numpy), partial transposition and
 expectation values. Everything operates on plain numpy arrays."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,19 +16,6 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, ID2):
     _m.setflags(write=False)
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigendecomposition of a Hermitian matrix, or of each matrix in a
-    (..., n, n) stack, with the stack axes leading both fields.
-
-    ``eigenvalues[..., i]`` are real and ascending in ``i``; column ``i`` of
-    ``eigenvectors[...]`` is the unit eigenvector for ``eigenvalues[..., i]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def _as_square(m) -> np.ndarray:
@@ -121,11 +106,31 @@ def expectation(rho, m, *, check: bool = True):
     return _traces(r, o)
 
 
-def hermitian_eigen(h, *, check: bool = True) -> Spectrum:
-    """Eigendecomposition of a complex Hermitian matrix, or of each matrix in
-    a (..., n, n) stack, by one call of LAPACK (numpy's ``eigh``): the one
-    eigensolver every uwit decision uses. A slice's result does not depend
-    on the stack it sits in.
+def _lapack(driver, a: np.ndarray):
+    """numpy's ``eigh`` or ``eigvalsh`` of a (..., n, n) stack, unchecked: the
+    one place where a LAPACK failure to converge raises ConvergenceError."""
+    try:
+        return driver(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+
+
+def _eigh(a: np.ndarray):
+    """Eigenvalues (ascending) and unit eigenvectors (columns) of each matrix."""
+    return _lapack(np.linalg.eigh, a)
+
+
+def _least_eigenvalues(a: np.ndarray):
+    """The least eigenvalue of each matrix, by the cheaper ``eigvalsh``."""
+    return _lapack(np.linalg.eigvalsh, a)[..., 0]
+
+
+def hermitian_eigen(h, *, check: bool = True):
+    """numpy's ``eigh`` result (eigenvalues, eigenvectors), to unpack by
+    position, of a complex Hermitian matrix or of each matrix in a
+    (..., n, n) stack, by _eigh; a slice's result does not depend on the
+    stack it sits in. Validation and the noise sampler decide PSD by
+    _least_eigenvalues instead.
 
     Raises DimensionMismatchError unless the last two axes are square,
     NotHermitianError if any matrix fails expectation's Hermiticity bound,
@@ -135,8 +140,4 @@ def hermitian_eigen(h, *, check: bool = True) -> Spectrum:
     a = np.asarray(h, dtype=complex)
     if check:
         _check_hermitian(a, "matrix")
-    try:
-        eigenvalues, eigenvectors = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
-    return Spectrum(eigenvalues, eigenvectors)
+    return _eigh(a)

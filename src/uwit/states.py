@@ -32,6 +32,7 @@ from .linalg import (
     _adjoint_difference,
     _as_square,
     _hs_norms,
+    _least_eigenvalues,
     expectation,
     hermitian_eigen,
     kron,
@@ -118,9 +119,9 @@ def density_matrix_violations(m: np.ndarray) -> list[str]:
     if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
         violations.append("unit_trace")
     if "hermitian" not in violations:
-        # values only, as _noise_candidates decides PSD, so that every
+        # the kernel _noise_candidates decides PSD by, so that every
         # accepted noise candidate passes this check
-        if float(np.linalg.eigvalsh(m)[0]) < PSD_TOL:
+        if float(_least_eigenvalues(m)) < PSD_TOL:
             violations.append("positive_semidefinite")
     return violations
 
@@ -274,7 +275,7 @@ def _noise_candidates(d: float, normals: np.ndarray, uniforms: np.ndarray):
     radii = [d * u ** (1.0 / 15.0) for u in uniforms.tolist()]
     scale = [r / norm if norm >= _NOISE_NORM_FLOOR else 0.0 for r, norm in zip(radii, norms)]
     sigma = eye4 / 4.0 + np.array(scale)[:, None, None] * g
-    accepted = (np.linalg.eigvalsh(sigma)[:, 0] >= PSD_TOL) & (np.array(norms) >= _NOISE_NORM_FLOOR)
+    accepted = (_least_eigenvalues(sigma) >= PSD_TOL) & (np.array(norms) >= _NOISE_NORM_FLOOR)
     return sigma, accepted
 
 
@@ -394,7 +395,7 @@ def _min_pt_eigenvalues(stack: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     one and the sweep's per-p kernel on a stack of samples. Both pass
     exactly Hermitian matrices, whose partial transposes are exactly
     Hermitian too, so the eigensolver does not check them."""
-    return hermitian_eigen(partial_transpose(stack, dims), check=False).eigenvalues[..., 0]
+    return hermitian_eigen(partial_transpose(stack, dims), check=False)[0][..., 0]
 
 
 def is_npt(rho: DensityMatrix) -> tuple[bool, float]:

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from haar import COLLECTIVE_PAULIS
 from uwit.criteria import (
     DETECTION_TOL,
     Observable,
@@ -34,7 +35,6 @@ from uwit.experiments import (
 )
 from uwit.linalg import SIGMA_X, SIGMA_Z, hermitian_eigen, kron, partial_transpose
 from uwit.states import (
-    _PAULI_BASIS,
     DensityMatrix,
     NoiseBallConfig,
     bell_diagonal_state,
@@ -47,8 +47,6 @@ from uwit.states import (
 _SUITE_START = time.perf_counter()
 
 DEFAULT_CONFIG = NoiseBallConfig(d=0.2, seed=42, samples=2000)
-# the collective Paulis sigma_i x I + I x sigma_i, as observables
-COLLECTIVE_PAULIS = [Observable(m) for m in _PAULI_BASIS[1:4]]
 
 
 def _report(number: int, name: str, started: float) -> None:
@@ -78,12 +76,12 @@ def test_01_eigensolver_soundness():
         n = int(rng.integers(2, 9))
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         h = (x + x.conj().T) / 2
-        eig = hermitian_eigen(h)
-        rebuilt = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T
+        w, v = hermitian_eigen(h)
+        rebuilt = (v * w) @ v.conj().T
         assert np.linalg.norm(rebuilt - h) <= 1e-10
 
     singlet = bell_state(4).density().matrix
-    pt_eigs = hermitian_eigen(partial_transpose(singlet, (2, 2))).eigenvalues
+    pt_eigs = hermitian_eigen(partial_transpose(singlet, (2, 2)))[0]
     assert np.allclose(pt_eigs, [-0.5, 0.5, 0.5, 0.5], atol=1e-10)
 
     elapsed = time.perf_counter() - started

@@ -48,8 +48,8 @@ def with_state(argv, state):
 
 
 def count_calls(monkeypatch, module, names) -> dict:
-    """Calls of ``module``'s functions ``names``, counted wherever a uwit
-    module holds them."""
+    """Calls of ``module``'s functions ``names``, counted in ``module`` and
+    wherever a uwit module holds them."""
     calls = dict.fromkeys(names, 0)
     for name in names:
         original = getattr(module, name)
@@ -58,7 +58,7 @@ def count_calls(monkeypatch, module, names) -> dict:
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        for holder in (uwit, uwit.linalg, states, criteria, experiments):
+        for holder in (uwit, uwit.linalg, states, criteria, experiments, module):
             if getattr(holder, name, None) is original:
                 monkeypatch.setattr(holder, name, counted)
     return calls
@@ -115,14 +115,17 @@ class TestEvaluate:
         Hermiticity decision: the kept state, the basis and the partial
         transpose that is_npt decomposes are exactly Hermitian, so neither
         expectation nor the eigensolver checks them again. A saved state is
-        exactly Hermitian, so its validation takes no defect norm."""
+        exactly Hermitian, so its validation takes no defect norm. LAPACK
+        runs twice: eigvalsh in the validation, eigh in is_npt."""
         state = tmp_path / "ginibre.json"
         save_state(random_density_matrix((2, 2), np.random.default_rng(31)), state)
         names = ("expectation", "_adjoint_difference", "_check_hermitian", "_hs_norms")
         calls = count_calls(monkeypatch, uwit.linalg, names)
+        lapack = count_calls(monkeypatch, np.linalg, ("eigvalsh", "eigh"))
         assert run_cli("evaluate", state, "--q", "2", "--q", "4", "--q", "15") == 0
         assert len(json.loads(capsys.readouterr().out)["criteria"]) == 7
         assert calls == {"expectation": 1, "_adjoint_difference": 1, "_check_hermitian": 0, "_hs_norms": 0}, calls
+        assert lapack == {"eigvalsh": 1, "eigh": 1}, lapack
 
     def test_a_state_hermitian_only_within_the_bound_takes_the_defect_norm(self, tmp_path, monkeypatch, capsys):
         """A state file Hermitian within HERMITICITY_TOL but not exactly is
@@ -414,16 +417,21 @@ class TestSweep:
         assert err.count("error: ") == 2 and "Traceback" not in err
         assert not out.exists()
 
-    def test_eigensolver_failure_exits_5(self, tmp_path, monkeypatch, capsys):
-        # the sweep's one eigendecomposition per block goes through
-        # hermitian_eigen, and the sweep builds no Observable, so the failing
-        # call is the sweep's own
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("driver", ["eigh", "eigvalsh"])
+    def test_eigensolver_failure_exits_5(self, tmp_path, monkeypatch, capsys, driver, workers):
+        # the sweep decides PSD of its noise candidates by eigvalsh and
+        # decomposes each block's partial transposes by eigh, and builds no
+        # Observable, so the failing call is the sweep's own; at d = 0.5 two
+        # workers run the 600 samples pooled, in forked workers that inherit
+        # the failing driver
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, driver, fail)
         out = tmp_path / "e.csv"
-        assert run_cli("sweep", "--workers", "1", "--samples", "20", "--out", out) == 5
+        argv = ("sweep", "--d", "0.5", "--samples", "600", "--p-grid", "0,1", "--workers", workers)
+        assert run_cli(*argv, "--out", out) == 5
         err = capsys.readouterr().err
         assert err.count("error: ") == 1 and "did not converge" in err and "Traceback" not in err
         assert not out.exists()
@@ -824,16 +832,26 @@ class TestParameterBoundary:
         assert run_cli("werner") == code
         assert capsys.readouterr().err == f"error: {error}\n"
 
-    def test_eigensolver_failure_exits_5(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("driver", ["eigh", "eigvalsh"])
+    def test_eigensolver_failure_exits_5(self, tmp_path, monkeypatch, capsys, driver):
+        """evaluate validates its state by eigvalsh and decides NPT by eigh;
+        gen-state werner only validates, so it runs with eigvalsh failing."""
         state = tmp_path / "singlet.json"
         assert run_cli("gen-state", "bell", "4", "--out", state) == 0
+        capsys.readouterr()
 
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
-        assert run_cli("evaluate", state) == 5
-        assert capsys.readouterr().err.startswith("error: eigendecomposition did not converge")
+        monkeypatch.setattr(np.linalg, driver, fail)
+        werner = tmp_path / "werner.json"
+        argvs = [("evaluate", state)] + [("gen-state", "werner", "0.5", "--out", werner)] * (driver == "eigvalsh")
+        for argv in argvs:
+            assert run_cli(*argv) == 5
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: eigendecomposition did not converge") and captured.err.count("\n") == 1
+            assert captured.out == ""
+        assert not werner.exists()
 
     def test_bare_value_error_is_a_bug_and_propagates(self, monkeypatch):
         def fail():
@@ -869,7 +887,7 @@ PUBLIC_NAMES = {
         "StateInvariantError", "UwitError",
     ],
     "linalg": [
-        "ID2", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "Spectrum", "expectation", "hermitian_eigen",
+        "ID2", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "expectation", "hermitian_eigen",
         "kron", "partial_transpose",
     ],
     "states": [

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import uwit.criteria
 
+from haar import COLLECTIVE_PAULIS
 from uwit.errors import (
     DegenerateObservableError,
     DimensionMismatchError,
@@ -31,7 +32,6 @@ from uwit.criteria import (
     variance,
 )
 from uwit.states import (
-    _PAULI_BASIS,
     DensityMatrix,
     bell_diagonal_state,
     bell_populations_from_coords,
@@ -44,8 +44,6 @@ from uwit.states import (
 )
 
 SINGLET = bell_state(4).density()
-# the collective Paulis sigma_i x I + I x sigma_i, as observables
-COLLECTIVE_PAULIS = [Observable(m) for m in _PAULI_BASIS[1:4]]
 # Bell populations (1 + 5e-10, -5e-10, 0, 0): a valid state within PSD_TOL
 NEAR_BOUNDARY_BELL_DIAGONAL = DensityMatrix(
     sum(p * s.density().matrix for p, s in zip((1 + 5e-10, -5e-10, 0.0, 0.0), bell_states())),

@@ -3,8 +3,8 @@ expectation and hermitian_eigen) and `density_matrix_violations` pass or
 refuse exactly what a norm oracle does, for exactly Hermitian matrices,
 matrices just inside and just outside the bound, non-finite entries, and
 stacks that mix them. A further property holds that every matrix uwit
-hands to expectation or hermitian_eigen with ``check=False`` is exactly
-Hermitian."""
+hands to expectation or hermitian_eigen with ``check=False``, or to the
+unchecked eigensolver kernel _eigh, is exactly Hermitian."""
 
 import json
 import warnings
@@ -183,7 +183,7 @@ def test_what_uwit_decides_unchecked_is_exactly_hermitian(tmp_path_factory, seed
     # the mixtures and their partial transposes, then sigma's partial
     # transpose and those of any mixture the sweep re-decides per p
     block = first_arguments(lambda: experiments._block_flags(sigma, p), ["_min_pt_eigenvalues", "hermitian_eigen"])
-    sweep = first_arguments(lambda: experiments._sweep_flags(sigma, [p]), ["hermitian_eigen"])
+    sweep = first_arguments(lambda: experiments._sweep_flags(sigma, [p]), ["_eigh", "hermitian_eigen"])
     assert [a.shape for a in block] == [(n, 4, 4)] * 2 and sweep[0].shape == (n, 4, 4)
 
     m = random_density_matrix((2, 2), np.random.default_rng(seed % 2**64)).matrix.copy()

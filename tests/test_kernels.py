@@ -17,11 +17,11 @@ import uwit.states
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
+from haar import COLLECTIVE_PAULIS, ROUNDOFF_EPS, haar_unitary
 from uwit.criteria import (
     BELL_POPULATION_FLOOR,
     DETECTION_TOL,
     WITNESS_TOL,
-    Observable,
     _bell_tsallis_decision,
     _bell_tsallis_detects,
     _entropy,
@@ -154,8 +154,6 @@ def bell_populations_oracle(rho: DensityMatrix) -> np.ndarray:
     return np.maximum([float(np.vdot(b.amplitudes, rho.matrix @ b.amplitudes).real) for b in bell_states()], 0.0)
 
 
-# the collective Paulis sigma_i x I + I x sigma_i, as observables
-COLLECTIVE_PAULIS = [Observable(m) for m in _PAULI_BASIS[1:4]]
 LINEAR_WITNESS = np.eye(4, dtype=complex) + sum(kron(s, s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
 
 
@@ -229,7 +227,6 @@ def tsallis_edge_states() -> list[DensityMatrix]:
 EDGE_STATES = tsallis_edge_states()
 # Bell populations (0.750, 0.250, 2.8e-17, 0): a roundoff population that
 # BELL_POPULATION_FLOOR counts as 0 below q = 1
-ROUNDOFF_EPS = 0.5000032133056707
 ROUNDOFF_STATE = DensityMatrix((1.0 - ROUNDOFF_EPS) * np.diag([1.0, 0, 0, 0]) + ROUNDOFF_EPS * bell_states()[0].density().matrix, (2, 2))
 
 
@@ -322,12 +319,6 @@ def test_coords_read_the_validated_state(states):
 def test_scalar_npt_equals_batch_kernel(states):
     least = _min_pt_eigenvalues(np.array([s.matrix for s in states]), (2, 2))
     assert [is_npt(s) for s in states] == [(m < NPT_THRESHOLD, m) for m in least.tolist()]
-
-
-def haar_unitary(rng, n) -> np.ndarray:
-    """Haar-random n x n unitary: QR of a Ginibre matrix, phases fixed."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 @BOUNDED

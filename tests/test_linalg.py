@@ -12,6 +12,7 @@ from uwit.linalg import (
     kron,
     partial_transpose,
 )
+from uwit.states import DensityMatrix, noise_rng, sample_noise_ball
 
 
 # a NaN or infinite entry makes the Hermiticity defect non-finite, which
@@ -72,12 +73,12 @@ class TestKron:
 
 class TestHermitianEigen:
     def test_sigma_z(self):
-        spec = hermitian_eigen(SIGMA_Z)
-        assert np.allclose(spec.eigenvalues, [-1.0, 1.0], atol=1e-12)
+        w, _ = hermitian_eigen(SIGMA_Z)
+        assert np.allclose(w, [-1.0, 1.0], atol=1e-12)
 
     def test_sigma_x(self):
-        spec = hermitian_eigen(SIGMA_X)
-        assert np.allclose(spec.eigenvalues, [-1.0, 1.0], atol=1e-12)
+        w, _ = hermitian_eigen(SIGMA_X)
+        assert np.allclose(w, [-1.0, 1.0], atol=1e-12)
 
     def test_singlet_partial_transpose_spectrum(self):
         pt = partial_transpose_loops(singlet_matrix(), 2, 2)
@@ -85,15 +86,14 @@ class TestHermitianEigen:
         oracle = np.sort(np.linalg.eigvalsh(pt))
         expected = np.array([-0.5, 0.5, 0.5, 0.5])
         assert np.allclose(oracle, expected, atol=1e-12)
-        assert np.allclose(hermitian_eigen(pt).eigenvalues, expected, atol=1e-10)
+        assert np.allclose(hermitian_eigen(pt)[0], expected, atol=1e-10)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_random_reconstruction(self, n):
         rng = np.random.default_rng(100 + n)
         for _ in range(10):
             h = random_hermitian(rng, n)
-            spec = hermitian_eigen(h)
-            v, w = spec.eigenvectors, spec.eigenvalues
+            w, v = hermitian_eigen(h)
             assert np.linalg.norm((v * w) @ v.conj().T - h) <= 1e-10
             assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= 1e-10
             assert np.all(np.diff(w) >= 0)
@@ -106,9 +106,9 @@ class TestHermitianEigen:
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         u = np.linalg.qr(x)[0]
         h = (u * np.array([2.0, 2.0, 5.0, 7.0])) @ u.conj().T
-        spec = hermitian_eigen(h)
-        assert np.allclose(spec.eigenvalues, [2.0, 2.0, 5.0, 7.0], atol=1e-10)
-        rebuilt = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
+        w, v = hermitian_eigen(h)
+        assert np.allclose(w, [2.0, 2.0, 5.0, 7.0], atol=1e-10)
+        rebuilt = (v * w) @ v.conj().T
         assert np.linalg.norm(rebuilt - h) <= 1e-10
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
@@ -122,26 +122,36 @@ class TestHermitianEigen:
     def test_stack_equals_each_slice(self):
         rng = np.random.default_rng(23)
         stack = np.array([[random_hermitian(rng, 4) for _ in range(3)] for _ in range(2)])
-        spec = hermitian_eigen(stack)
-        assert spec.eigenvalues.shape == (2, 3, 4) and spec.eigenvectors.shape == (2, 3, 4, 4)
+        w, v = hermitian_eigen(stack)
+        assert w.shape == (2, 3, 4) and v.shape == (2, 3, 4, 4)
         for index in np.ndindex(stack.shape[:-2]):
-            one = hermitian_eigen(stack[index])
-            assert spec.eigenvalues[index].tobytes() == one.eigenvalues.tobytes()
-            assert spec.eigenvectors[index].tobytes() == one.eigenvectors.tobytes()
+            one_w, one_v = hermitian_eigen(stack[index])
+            assert w[index].tobytes() == one_w.tobytes()
+            assert v[index].tobytes() == one_v.tobytes()
 
     def test_rejects_non_square_input(self):
         for shape in ((4,), (2, 3), (3, 2, 3), (2, 4, 2)):
             with pytest.raises(DimensionMismatchError):
                 hermitian_eigen(np.zeros(shape))
 
-    def test_lapack_failure_raises_convergence_error(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "driver, calls",
+        [
+            ("eigh", [lambda: hermitian_eigen(SIGMA_Z), lambda: hermitian_eigen(np.array([SIGMA_Z, SIGMA_X]))]),
+            ("eigvalsh", [lambda: DensityMatrix(np.eye(4) / 4, (2, 2)), lambda: sample_noise_ball(0.2, noise_rng(1, 0))]),
+        ],
+        ids=["eigh", "eigvalsh"],
+    )
+    def test_lapack_failure_raises_convergence_error(self, monkeypatch, driver, calls):
+        """Either LAPACK driver failing is a ConvergenceError: eigh in
+        hermitian_eigen, eigvalsh in validation and in the noise sampler."""
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
-        for h in (SIGMA_Z, np.array([SIGMA_Z, SIGMA_X])):
-            with pytest.raises(ConvergenceError):
-                hermitian_eigen(h)
+        monkeypatch.setattr(np.linalg, driver, fail)
+        for call in calls:
+            with pytest.raises(ConvergenceError, match="^eigendecomposition did not converge"):
+                call()
 
 
 class TestPartialTranspose:

@@ -15,7 +15,7 @@ from uwit.errors import (
 )
 from uwit.criteria import Observable
 from uwit.experiments import run_geometry_scan
-from uwit.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, hermitian_eigen, kron
+from uwit.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, kron
 from uwit.states import (
     BellDiagonalCoords,
     DensityMatrix,
@@ -556,10 +556,9 @@ class TestIdentityEquality:
             maximally_mixed,
             lambda: bell_state(4),
             lambda: Observable(SIGMA_Z),
-            lambda: hermitian_eigen(SIGMA_X),
             lambda: run_geometry_scan(3, (2.0,)),
         ],
-        ids=["DensityMatrix", "PureState", "Observable", "Spectrum", "GeometryScan"],
+        ids=["DensityMatrix", "PureState", "Observable", "GeometryScan"],
     )
     def test_eq_and_hash_are_identity(self, build):
         a, b = build(), build()

@@ -32,6 +32,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
+from haar import ROUNDOFF_EPS, haar_unitary
 from uwit.criteria import (
     _CRITERIA,
     BELL_POPULATION_FLOOR,
@@ -129,13 +130,6 @@ def test_00_with_phi_plus_crosses_above_the_bell_floor(q, u):
     assert all(v.detected for v in verdicts(mixture(KET_00, PHI_PLUS, eps), ids, q))
 
 
-# (1 - eps)|00><00| + eps |phi+><phi+| at this eps has computed Bell
-# populations (0.750, 0.250, 2.8e-17, 0). Powered as computed, the
-# roundoff's (2.8e-17)^0.0625 = 0.09 lifted the sum above the bound, and
-# q = 0.0625 did not detect the state that q = 0.25 to 2 detect.
-ROUNDOFF_EPS = 0.5000032133056707
-
-
 @pytest.mark.parametrize("q", [0.0625, 0.25, 0.5, 1.0, 2.0])
 def test_00_with_phi_plus_is_detected_through_a_roundoff_population(q):
     rho = mixture(KET_00, PHI_PLUS, ROUNDOFF_EPS)
@@ -148,19 +142,12 @@ def test_00_with_phi_plus_is_detected_through_a_roundoff_population(q):
     assert (entropy > verdict.value) if q < 1.0 else (entropy == verdict.value)
 
 
-def haar_unitary(rng) -> np.ndarray:
-    """A Haar-random 2x2 unitary: the Q of a complex Ginibre matrix's QR
-    factorization, with its columns' phases fixed by R's diagonal."""
-    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 @BOUNDED
 @given(st.integers(0, 2**32 - 1))
 def test_product_states_stay_undetected_on_their_local_unitary_orbit(seed):
     rng = np.random.default_rng(seed)
     rho = random_product_state((2, 2), rng).density()
-    u = haar_unitary(rng)
+    u = haar_unitary(rng, 2)
     uu = np.kron(u, u)
     rotated = DensityMatrix(uu @ rho.matrix @ uu.conj().T, (2, 2))
     for before, after in zip(verdicts(rho, WITNESS_GUARDS), verdicts(rotated, WITNESS_GUARDS), strict=True):
